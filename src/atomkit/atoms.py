@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import (AutGroup, PullbackSquare, SiteError, backend_of, compose,
-                   group_name, hom_set, identity, inverse, is_iso, pullback,
-                   sort_key, subgroup_generated)
+from .core import (AutGroup, PullbackSquare, SiteError, compose,
+                   decode_morphism, decode_object, encode_morphism,
+                   encode_object, group_name, hom_set, identity, inverse,
+                   is_iso, object_key, pullback, sort_key, subgroup_generated)
 
 VARIANTS = ("derived", "paper")
 
@@ -42,8 +43,7 @@ class FormalAtom:
         return type(self.base).site
 
     def describe(self) -> tuple[str, str]:
-        backend = backend_of(self.base)
-        return (backend.object_key(self.base), group_name(self.group))
+        return (object_key(self.base), group_name(self.group))
 
 
 def make_atom(base, generators=()) -> FormalAtom:
@@ -146,13 +146,11 @@ def atom_iso_formal(a: FormalAtom, b: FormalAtom,
 
 
 def encode_atom(atom: FormalAtom) -> dict:
-    from .core import encode_morphism, encode_object
     return {"base": encode_object(atom.base),
             "generators": [encode_morphism(g) for g in atom.group.generators]}
 
 
 def decode_atom(data: dict, site: str | None = None) -> FormalAtom:
-    from .core import decode_morphism, decode_object
     if "base" not in data:
         raise SiteError("atom payload needs a 'base' field")
     base = decode_object(data["base"], site)
@@ -181,11 +179,6 @@ class CoeqTrace:
     result: FormalAtom
     sigma: object
     quotient_rep: object
-
-    @property
-    def terminal_object(self):
-        """The domain the iteration stops at; base of the result atom."""
-        return self.result.base
 
     @property
     def terminal_automorphism(self):

@@ -5,9 +5,8 @@ returns a report pairing instance keys with verdicts.  Instance keys
 embed the full arrow data, so a failing row can be replayed verbatim;
 reruns produce bit-identical reports.
 
-Bounds: on the injection site a bound b covers the sets of size at most
-b; on the tree site it covers trees with at most b tails and 2b+1
-explicit nodes over the two-letter branch alphabet.
+A bound b covers the objects the site's objects_up_to(b) lists, over
+the labels "i" and "j" on sites whose objects carry labels.
 """
 
 from __future__ import annotations
@@ -15,19 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .atoms import FormalAtom, coequalize_representables
-from .core import (Span, SiteError, amalgamate, aut_group, backend, compose,
-                   hom_set, is_iso, morphism_key, object_key, pullback, rank,
-                   subgroup_generated)
-from .finsetinj import make_injection
+from .core import (Span, SiteError, amalgamate, aut_group, backend, backend_of,
+                   compose, hom_set, identity, is_iso, morphism_key,
+                   object_key, pullback, rank, subgroup_generated)
 from .presheaf import CheckVerdict
 
 
 def audit_objects(site: str, bound: int) -> list:
-    backend(site)
-    if site == "finsetinj":
-        return backend(site).objects_up_to(bound)
-    from .itree import enumerate_trees
-    return enumerate_trees(bound, 2 * bound + 1, ("i", "j"))
+    return backend(site).objects_up_to(bound, ("i", "j"))
 
 
 @dataclass(frozen=True)
@@ -54,33 +48,12 @@ class AuditReport:
                              for k, v in self.verdicts]}
 
 
-def _report(condition: str, bound: int, rows: list) -> AuditReport:
-    return AuditReport(condition, bound, tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # C1: amalgamation and regular monomorphisms
 
-def _regular_mono_row(m) -> CheckVerdict:
-    site = type(m.dom).site
-    if site == "itree":
-        from .itree import equalizer_of, regular_mono_witness, same_subtree
-        _doubled, e1, e2 = regular_mono_witness(m)
-        if compose(m, e1) != compose(m, e2):
-            return CheckVerdict("fail", {"reason": "pair disagrees on image"})
-        _eq, incl = equalizer_of(e1, e2)
-        if not same_subtree(incl, m):
-            return CheckVerdict("fail", {"reason": "equalizer is not the "
-                                                   "source subtree"})
-        return CheckVerdict("pass", {"doubled": object_key(e1.cod)})
-    cone = amalgamate(Span(m, m))
-    u, v = cone.from_left, cone.from_right
-    agree = sorted(b for b in range(m.cod.size) if u(b) == v(b))
-    image = sorted(m(a) for a in range(m.dom.size))
-    if agree != image:
-        return CheckVerdict("fail", {"reason": "equalizer differs from image",
-                                     "equalizer": agree, "image": image})
-    return CheckVerdict("pass", {"doubled": object_key(cone.obj)})
+def _regular_mono_row(m, bound: int = 0) -> CheckVerdict:
+    ok, witness = backend_of(m).regular_mono(m)
+    return CheckVerdict("pass" if ok else "fail", witness, bound)
 
 
 def audit_c1(site: str, bound: int) -> AuditReport:
@@ -102,11 +75,9 @@ def audit_c1(site: str, bound: int) -> AuditReport:
     for a in objects:
         for b in objects:
             for m in hom_set(a, b):
-                verdict = _regular_mono_row(m)
                 rows.append(("regmono|%s" % morphism_key(m),
-                             CheckVerdict(verdict.status, verdict.witness,
-                                          bound)))
-    return _report("C1", bound, rows)
+                             _regular_mono_row(m, bound)))
+    return AuditReport("C1", bound, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +88,7 @@ def c2prime_chain(square, u, v) -> tuple:
     u;w = k_0, ..., k_n = v;w with consecutive entries agreeing on one
     leg of the square.
 
-    Tree site: the explicit patch function gives a chain of length
-    three without enlarging the target.  Injections: after the trivial
-    shortcuts, route everything off the left leg through fresh points;
-    the two outer links agree on the left leg, the middle one on the
-    right leg.
+    After the trivial shortcuts the site's zigzag builds the chain.
     """
     f, g = square.left, square.right
     z = f.cod
@@ -131,28 +98,10 @@ def c2prime_chain(square, u, v) -> tuple:
     if compose(meet, u) != compose(meet, v):
         raise SiteError("the pair does not agree on the intersection")
     if u == v:
-        return identity_of(u.cod), (u,)
+        return identity(u.cod), (u,)
     if compose(f, u) == compose(f, v) or compose(g, u) == compose(g, v):
-        return identity_of(u.cod), (u, v)
-    if z.site == "itree":
-        from .itree import c2prime_witness
-        w = c2prime_witness(square, u, v)
-        return identity_of(u.cod), (u, w, v)
-    a = u.cod
-    ap_size = a.size + z.size - f.dom.size
-    w = make_injection(a.size, ap_size, tuple(range(a.size)))
-    in_f = {f(i) for i in range(f.dom.size)}
-    fresh = iter(range(a.size, ap_size))
-    k1 = [u(i) if i in in_f else next(fresh) for i in range(z.size)]
-    k2 = [v(i) if i in in_f else k1[i] for i in range(z.size)]
-    chain = (compose(u, w), make_injection(z.size, ap_size, tuple(k1)),
-             make_injection(z.size, ap_size, tuple(k2)), compose(v, w))
-    return w, chain
-
-
-def identity_of(obj):
-    from .core import identity
-    return identity(obj)
+        return identity(u.cod), (u, v)
+    return backend_of(z).zigzag(square, u, v)
 
 
 def verify_chain(square, u, v, w, chain) -> bool:
@@ -192,7 +141,7 @@ def audit_c2prime(site: str, bound: int) -> AuditReport:
                                 "pass" if good else "fail",
                                 {"chain_length": len(chain),
                                  "target": object_key(w.cod)}, bound)))
-    return _report("C2prime", bound, rows)
+    return AuditReport("C2prime", bound, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +176,7 @@ def audit_c3(site: str, bound: int = 0, chains=None) -> AuditReport:
             rows.append((key, CheckVerdict(
                 "pass" if good else "fail",
                 {"length": len(chain), "steps": steps}, bound)))
-        return _report("C3", bound, rows)
+        return AuditReport("C3", bound, tuple(rows))
     objects = audit_objects(site, bound)
     for s in objects:
         for t in objects:
@@ -239,7 +188,7 @@ def audit_c3(site: str, bound: int = 0, chains=None) -> AuditReport:
                     "pass" if good else "fail",
                     {"below": list(rank(s).components),
                      "above": list(rank(t).components)}, bound)))
-    return _report("C3", bound, rows)
+    return AuditReport("C3", bound, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +202,7 @@ def audit_c4(site: str, bound: int) -> AuditReport:
                      for s in grp.elements for t in grp.elements)
         rows.append(("aut|%s" % object_key(x), CheckVerdict(
             "pass" if closed else "fail", {"order": grp.order}, bound)))
-    return _report("C4", bound, rows)
+    return AuditReport("C4", bound, tuple(rows))
 
 
 AUDITS = {"c1": audit_c1, "c2prime": audit_c2prime, "c3": audit_c3,
@@ -292,15 +241,6 @@ def extend_parallel_pair(f, alpha, beta):
 # ---------------------------------------------------------------------------
 # atom chains for the stabilization check
 
-def _chain_domains(site: str, base) -> list:
-    if site == "finsetinj":
-        return backend(site).objects_up_to(base.size)
-    from .itree import enumerate_trees
-    labels = sorted({lab for lab in base.labels if lab is not None})
-    return enumerate_trees(len(base.tail_ids), base.n_nodes + 2,
-                           tuple(labels))
-
-
 def _next_atom(cur: FormalAtom):
     """One canonical descent step, or None when the atom is stable.
 
@@ -308,9 +248,8 @@ def _next_atom(cur: FormalAtom):
     coequalizer moves the base.  Group step: adjoin the first missing
     automorphism.
     """
-    site = cur.site
     base = cur.base
-    for d in _chain_domains(site, base):
+    for d in backend_of(base).chain_domains(base):
         arrows = hom_set(d, base)
         for i, alpha in enumerate(arrows):
             for beta in arrows[i + 1:]:

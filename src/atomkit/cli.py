@@ -14,23 +14,28 @@ import sys
 from .atoms import (AtomMap, FormalAtom, atom_compose, atom_hom,
                     atom_iso_formal, coequalize_representables, decode_atom,
                     make_atom)
-from .audit import AUDITS, audit_objects, c2prime_chain, verify_chain
-from .core import (SiteError, Span, amalgamate, aut_group, canonical_json,
-                   decode_morphism, decode_object, group_name, hom_set,
-                   identity, morphism_key, object_key, pullback)
-from .presheaf import (ClosureError, compute_K, decode_fragment, decompose,
-                       local_iso_check, self_intersection_check,
-                       sheaf_check_quotient, stabilizer, support_element)
+from .audit import (AUDITS, _regular_mono_row, audit_objects, c2prime_chain,
+                    verify_chain)
+from .core import (BACKENDS, SiteError, Span, amalgamate, aut_group,
+                   canonical_json, decode_morphism, decode_object, group_name,
+                   hom_set, identity, morphism_key, object_key, pullback)
+from .itree import FinitaryTree, tree_stats
+from .presheaf import (compute_K, decode_fragment, decompose, local_iso_check,
+                       self_intersection_check, sheaf_check_quotient,
+                       stabilizer, support_element)
 
 
-def _load(path: str):
+def _load(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise SiteError("cannot read %s: %s" % (path, exc.strerror)) from exc
     except json.JSONDecodeError as exc:
         raise SiteError("%s is not valid JSON: %s" % (path, exc)) from exc
+    if not isinstance(data, dict):
+        raise SiteError("%s does not hold a JSON object" % path)
+    return data
 
 
 def _emit(data, args) -> None:
@@ -59,7 +64,14 @@ def _verdict_exit(verdict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# tree subcommands (generic site plumbing lives here too)
+# tree subcommands (validate and stats need a tree; the rest are generic)
+
+def _tree_stats(t):
+    if not isinstance(t, FinitaryTree):
+        raise SiteError("this command needs a tree payload, not a %s object"
+                        % t.site)
+    return tree_stats(t)
+
 
 def run_tree_validate(args) -> int:
     try:
@@ -67,8 +79,7 @@ def run_tree_validate(args) -> int:
     except SiteError as exc:
         _emit({"valid": False, "reason": str(exc)}, args)
         return 1
-    from .itree import tree_stats
-    stats = tree_stats(t)
+    stats = _tree_stats(t)
     _emit({"valid": True, "key": object_key(t),
            "branch_count": stats.branch_count, "f_count": stats.f_count},
           args)
@@ -77,8 +88,7 @@ def run_tree_validate(args) -> int:
 
 def run_tree_stats(args) -> int:
     t = _object(args.file, args.site)
-    from .itree import tree_stats
-    stats = tree_stats(t)
+    stats = _tree_stats(t)
     _emit({"key": object_key(t), "branch_count": stats.branch_count,
            "f_count": stats.f_count, "rank": list(stats.rank.components),
            "aut_order": aut_group(t).order}, args)
@@ -116,7 +126,6 @@ def run_tree_pullback(args) -> int:
 
 def run_tree_regmono(args) -> int:
     m = _morphism(args.file, args.site)
-    from .audit import _regular_mono_row
     verdict = _regular_mono_row(m)
     _emit({"mono": morphism_key(m), **_verdict_payload(verdict)}, args)
     return _verdict_exit(verdict)
@@ -143,13 +152,9 @@ def _atom(path: str, site: str) -> FormalAtom:
     return decode_atom(_load(path), site)
 
 
-def _describe(atom: FormalAtom) -> list:
-    return list(atom.describe())
-
-
 def run_atoms_make(args) -> int:
     atom = _atom(args.file, args.site)
-    _emit({"atom": _describe(atom), "group_order": atom.group.order,
+    _emit({"atom": atom.describe(), "group_order": atom.group.order,
            "aut_order": aut_group(atom.base).order}, args)
     return 0
 
@@ -171,7 +176,7 @@ def run_atoms_compose(args) -> int:
     f = _decode_atom_map(payload["f"], args.site, args.variant)
     g = _decode_atom_map(payload["g"], args.site, args.variant)
     h = atom_compose(f, g)
-    _emit({"source": _describe(h.source), "target": _describe(h.target),
+    _emit({"source": h.source.describe(), "target": h.target.describe(),
            "rep": morphism_key(h.rep), "variant": h.variant}, args)
     return 0
 
@@ -191,7 +196,7 @@ def run_atoms_iso(args) -> int:
     b = _atom(args.target, args.site)
     pair = atom_iso_formal(a, b, args.variant)
     if pair is None:
-        _emit({"isomorphic": False, "a": _describe(a), "b": _describe(b)},
+        _emit({"isomorphic": False, "a": a.describe(), "b": b.describe()},
               args)
         return 1
     fwd, back = pair
@@ -204,7 +209,7 @@ def run_atoms_quotient(args) -> int:
     atom = _atom(args.file, args.site)
     src = make_atom(atom.base, ())
     quo = AtomMap(src, atom, identity(atom.base), args.variant)
-    _emit({"source": _describe(src), "target": _describe(atom),
+    _emit({"source": src.describe(), "target": atom.describe(),
            "rep": morphism_key(quo.rep), "variant": quo.variant}, args)
     return 0
 
@@ -218,7 +223,7 @@ def run_coeq(args) -> int:
     trace = coequalize_representables(alpha, beta)
     _emit({"pullback_steps": len(trace.steps),
            "apexes": [object_key(s.apex) for s in trace.steps],
-           "result": _describe(trace.result),
+           "result": trace.result.describe(),
            "sigma": morphism_key(trace.sigma),
            "quotient_rep": morphism_key(trace.quotient_rep)}, args)
     return 0
@@ -299,11 +304,18 @@ def run_audit(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _natural(text: str) -> int:
+    """argparse type for budgets: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            "expected a non-negative integer, got %r" % text)
+    return int(text)
+
+
 def _add_common(p, site_default: str | None = None) -> None:
-    p.add_argument("--site", choices=("finsetinj", "itree"),
-                   default=site_default)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--bound", type=int, default=2)
+    p.add_argument("--site", choices=sorted(BACKENDS), default=site_default)
+    p.add_argument("--depth", type=_natural, default=3)
+    p.add_argument("--bound", type=_natural, default=2)
     p.add_argument("--variant", choices=("derived", "paper"),
                    default="derived")
     p.add_argument("--out", default=None)
@@ -381,9 +393,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except ClosureError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except SiteError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -1,9 +1,9 @@
-"""Shared machinery for the two morphism backends.
+"""Shared machinery for the site backends.
 
-Objects and morphisms are immutable values.  Each backend registers
-itself under a site tag ("finsetinj", "itree") and everything downstream
-(atoms, presheaf checks, audits, the CLI) dispatches through the
-functions here instead of touching payloads directly.
+Objects and morphisms are immutable values.  Each backend implements
+Site and registers itself under its tag ("finsetinj", "itree"); all
+downstream code (atoms, presheaf checks, audits, the CLI) dispatches
+through the functions here and the Site methods, never naming a site.
 
 Composition is diagrammatic throughout the package: compose(f, g) means
 "f then g", so f.cod must equal g.dom.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable, Protocol
 
 
 class SiteError(ValueError):
@@ -124,21 +124,50 @@ class AutGroup:
 # ---------------------------------------------------------------------------
 # backend registry
 
-BACKENDS: dict[str, Any] = {}
+class Site(Protocol):
+    """What a site backend provides (declaration only, never checked).
+    Its objects and morphisms carry the tag as their site attribute; the
+    marker fields identify untagged object and morphism payloads."""
+
+    tag: str
+    object_marker: str
+    morphism_marker: str
+
+    def identity(self, obj): ...
+    def hom_set(self, a, b) -> list: ...
+    def rank(self, obj) -> RankValue: ...
+    def pullback(self, f, g) -> PullbackSquare: ...
+    def amalgamate(self, span: Span) -> Cocone: ...
+    def objects_up_to(self, bound: int, labels=()) -> list: ...
+    def chain_domains(self, base) -> list: ...
+    def checker_objects(self, depth: int, seeds) -> list: ...
+    def pairs_covered(self, depth: int, seeds, tgt, shared) -> bool: ...
+    def regular_mono(self, m) -> tuple[bool, dict]: ...
+    def zigzag(self, square: PullbackSquare, u, v) -> tuple: ...
+    def full_group_name(self, obj) -> str: ...
+    def encode_object(self, obj) -> dict: ...
+    def decode_object(self, data: dict): ...
+    def encode_morphism(self, f) -> dict: ...
+    def decode_morphism(self, data: dict): ...
+    def object_key(self, obj) -> str: ...
+    def morphism_key(self, f) -> str: ...
 
 
-def register_backend(be) -> None:
+BACKENDS: dict[str, Site] = {}
+
+
+def register_backend(be: Site) -> None:
     BACKENDS[be.tag] = be
 
 
-def backend(tag: str):
+def backend(tag: str) -> Site:
     try:
         return BACKENDS[tag]
-    except KeyError:
-        raise SiteError("unknown site tag %r" % tag) from None
+    except (KeyError, TypeError):
+        raise SiteError("unknown site tag %r" % (tag,)) from None
 
 
-def backend_of(x):
+def backend_of(x) -> Site:
     return backend(x.site)
 
 
@@ -242,7 +271,7 @@ def group_name(group: AutGroup) -> str:
         return "triv"
     full = aut_group(group.obj)
     if group.order == full.order:
-        return "Sym%d" % group.obj.size if group.obj.site == "finsetinj" else "Aut"
+        return backend_of(group.obj).full_group_name(group.obj)
     return "order%d" % group.order
 
 
@@ -281,15 +310,25 @@ def encode_object(obj) -> dict:
     return backend_of(obj).encode_object(obj)
 
 
-def decode_object(data: dict, site: str | None = None):
+def _payload_backend(data, site: str | None, marker: str, what: str) -> Site:
+    """The backend of a payload: its 'site' field, else site, else the
+    first backend (by tag) whose marker field the payload carries."""
+    if not isinstance(data, dict):
+        raise SiteError("%s payload must be a JSON object" % what)
     tag = data.get("site", site)
     if site is not None and tag != site:
         raise SiteError("field 'site': payload says %r, expected %r" % (tag, site))
     if tag is None:
-        tag = "finsetinj" if "size" in data else "itree" if "nodes" in data else None
+        tag = next((t for t, be in sorted(BACKENDS.items())
+                    if getattr(be, marker) in data), None)
     if tag is None:
-        raise SiteError("object payload carries no recognizable site tag")
-    return backend(tag).decode_object(data)
+        raise SiteError("%s payload carries no recognizable site tag" % what)
+    return backend(tag)
+
+
+def decode_object(data: dict, site: str | None = None):
+    return _payload_backend(data, site, "object_marker",
+                            "object").decode_object(data)
 
 
 def encode_morphism(f) -> dict:
@@ -297,17 +336,8 @@ def encode_morphism(f) -> dict:
 
 
 def decode_morphism(data: dict, site: str | None = None):
-    tag = data.get("site", site)
-    if site is not None and tag != site:
-        raise SiteError("field 'site': payload says %r, expected %r" % (tag, site))
-    if tag is None:
-        if "map" in data:
-            tag = "finsetinj"
-        elif "explicit_images" in data:
-            tag = "itree"
-    if tag is None:
-        raise SiteError("morphism payload carries no recognizable site tag")
-    return backend(tag).decode_morphism(data)
+    return _payload_backend(data, site, "morphism_marker",
+                            "morphism").decode_morphism(data)
 
 
 def object_key(obj) -> str:

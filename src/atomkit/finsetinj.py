@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .core import (Cocone, PullbackSquare, RankValue, SiteError, Span,
-                   register_backend)
+                   amalgamate, compose, object_key, register_backend)
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,14 @@ def complement_positions(f: Injection) -> tuple[int, ...]:
     return tuple(sorted(set(range(f.cod.size)) - set(f.map)))
 
 
+def _top(seeds) -> int:
+    return max((s.size for s in seeds), default=0)
+
+
 class FinSetInjBackend:
     tag = "finsetinj"
+    object_marker = "size"
+    morphism_marker = "map"
 
     def identity(self, obj: FinSet) -> Injection:
         return Injection(obj, obj, tuple(range(obj.size)))
@@ -100,7 +106,51 @@ class FinSetInjBackend:
         return Cocone(obj, from_left, from_right)
 
     def objects_up_to(self, bound: int, labels=()) -> list[FinSet]:
+        """The sets of size at most bound."""
         return [FinSet(k) for k in range(bound + 1)]
+
+    def chain_domains(self, base: FinSet) -> list[FinSet]:
+        return self.objects_up_to(base.size)
+
+    def checker_objects(self, depth: int, seeds) -> list[FinSet]:
+        """Sizes up to depth plus the largest seed size."""
+        return self.objects_up_to(depth + _top(seeds))
+
+    def pairs_covered(self, depth: int, seeds, tgt: FinSet,
+                      shared: FinSet) -> bool:
+        """Whether every parallel pair out of tgt agreeing on the image of
+        shared factors through a checker object: such a pair restricts
+        to the union of its two images, at most 2|tgt| - |shared| points."""
+        return 2 * tgt.size - shared.size <= depth + _top(seeds)
+
+    def regular_mono(self, m: Injection) -> tuple[bool, dict]:
+        """The pushout legs of m along itself agree exactly on its image."""
+        cone = amalgamate(Span(m, m))
+        u, v = cone.from_left, cone.from_right
+        agree = sorted(b for b in range(m.cod.size) if u(b) == v(b))
+        image = sorted(m.map)
+        if agree != image:
+            return False, {"reason": "equalizer differs from image",
+                           "equalizer": agree, "image": image}
+        return True, {"doubled": object_key(cone.obj)}
+
+    def zigzag(self, square: PullbackSquare, u: Injection,
+               v: Injection) -> tuple:
+        """Route everything off the left leg through fresh points; the outer
+        links agree on the left leg, the middle one on the right leg."""
+        f, z, a = square.left, square.left.cod, u.cod
+        ap_size = a.size + z.size - f.dom.size
+        w = make_injection(a.size, ap_size, tuple(range(a.size)))
+        in_f = set(f.map)
+        fresh = iter(range(a.size, ap_size))
+        k1 = [u(i) if i in in_f else next(fresh) for i in range(z.size)]
+        k2 = [v(i) if i in in_f else k1[i] for i in range(z.size)]
+        chain = (compose(u, w), make_injection(z.size, ap_size, tuple(k1)),
+                 make_injection(z.size, ap_size, tuple(k2)), compose(v, w))
+        return w, chain
+
+    def full_group_name(self, obj: FinSet) -> str:
+        return "Sym%d" % obj.size
 
     # -- serialization ------------------------------------------------------
 

@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, ClassVar, NamedTuple
 
-from .core import (Cocone, PullbackSquare, RankValue, SiteError, Span,
-                   register_backend)
+from .core import (Cocone, PullbackSquare, RankValue, SiteError, Span, compose,
+                   is_iso, object_key, register_backend)
 
 INTERNAL, LEAF, TAIL = "internal", "leaf", "tail"
 
@@ -979,7 +979,6 @@ def equalizer_of(e1: TreeEmbedding, e2: TreeEmbedding):
 def same_subtree(m1: TreeEmbedding, m2: TreeEmbedding) -> bool:
     """Whether two embeddings into the same tree have equal images."""
     square = tree_pullback(m1, m2)
-    from .core import is_iso
     return is_iso(square.to_left) and is_iso(square.to_right)
 
 
@@ -1000,7 +999,6 @@ def c2prime_witness(square: PullbackSquare, u: TreeEmbedding,
     X, Y, Z = ix.dom, iy.dom, ix.cod
     if u.dom != Z or v.dom != Z or u.cod != v.cod:
         raise SiteError("the pair must be parallel out of the square's target")
-    from .core import compose
     apex_in = compose(square.to_left, ix)
     if compose(apex_in, u) != compose(apex_in, v):
         raise SiteError("the pair does not agree on the intersection")
@@ -1077,8 +1075,15 @@ def enumerate_trees(max_tails: int, max_explicit: int,
     return found
 
 
+def _labels(trees) -> tuple[str, ...]:
+    return tuple(sorted({lab for t in trees for lab in t.labels
+                         if lab is not None}))
+
+
 class ITreeBackend:
     tag = "itree"
+    object_marker = "nodes"
+    morphism_marker = "explicit_images"
 
     def identity(self, obj: FinitaryTree) -> TreeEmbedding:
         return identity_embedding(obj)
@@ -1096,7 +1101,47 @@ class ITreeBackend:
         return tree_amalgamate(span)
 
     def objects_up_to(self, bound: int, labels=()) -> list[FinitaryTree]:
+        """Trees with at most bound tails and 2*bound+1 explicit nodes."""
         return enumerate_trees(bound, 2 * bound + 1, tuple(labels))
+
+    def chain_domains(self, base: FinitaryTree) -> list[FinitaryTree]:
+        return enumerate_trees(len(base.tail_ids), base.n_nodes + 2,
+                               _labels((base,)))
+
+    def checker_objects(self, depth: int, seeds) -> list[FinitaryTree]:
+        """At most depth tails and 2*depth+3 explicit nodes, over the
+        branch labels occurring in the seeds."""
+        return enumerate_trees(depth, 2 * depth + 3, _labels(seeds))
+
+    def pairs_covered(self, depth: int, seeds, tgt: FinitaryTree,
+                      shared: FinitaryTree) -> bool:
+        """Whether every parallel pair out of tgt agreeing on the image of
+        shared factors through a checker object: such a pair restricts
+        to a tree with twice the tails of tgt and 2e-1 explicit nodes plus
+        one divergence point per tail."""
+        tails = len(tgt.tail_ids)
+        return (2 * tails <= depth
+                and 2 * tgt.n_nodes - 1 + tails <= 2 * depth + 3)
+
+    def regular_mono(self, m: TreeEmbedding) -> tuple[bool, dict]:
+        """The witness pair must have exactly the image of m as equalizer."""
+        _doubled, e1, e2 = regular_mono_witness(m)
+        if compose(m, e1) != compose(m, e2):
+            return False, {"reason": "pair disagrees on image"}
+        _eq, incl = equalizer_of(e1, e2)
+        if not same_subtree(incl, m):
+            return False, {"reason": "equalizer is not the source subtree"}
+        return True, {"doubled": object_key(e1.cod)}
+
+    def zigzag(self, square: PullbackSquare, u: TreeEmbedding,
+               v: TreeEmbedding) -> tuple:
+        """The explicit patch function gives a chain of length three
+        without enlarging the target."""
+        w = c2prime_witness(square, u, v)
+        return identity_embedding(u.cod), (u, w, v)
+
+    def full_group_name(self, obj: FinitaryTree) -> str:
+        return "Aut"
 
     # -- serialization ------------------------------------------------------
 

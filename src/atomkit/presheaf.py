@@ -7,10 +7,9 @@ stabilizers and the atom decomposition, and provide evaluation contexts
 for the checkers.
 
 The checkers quantify over "all objects X", which no desk-scale run can
-do, so each takes a depth and enumerates test objects up to a documented
-bound: sizes up to depth plus the largest input size on the injection
-site, and trees with at most depth tails and 2*depth+3 explicit nodes on
-the tree site.  Verdicts are three-valued.  Positive evidence (a pair
+do, so each takes a depth and enumerates the test objects the site's
+checker_objects lists for it; each backend documents its bound there
+and in pairs_covered.  Verdicts are three-valued.  Positive evidence (a pair
 excluding a candidate, an explicit factorization) certifies regardless
 of the bound; negative conclusions are certified only when every pair
 that could matter provably fits inside the bound, and otherwise come
@@ -19,12 +18,14 @@ back unknown.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .atoms import AtomMap, FormalAtom
-from .core import (AutGroup, SiteError, aut_group, backend, compose, hom_set,
-                   identity, is_iso, morphism_key, object_key, rank, sort_key,
-                   subgroup_generated)
+from .core import (AutGroup, SiteError, aut_group, backend, backend_of,
+                   compose, decode_object, encode_object, hom_set, identity,
+                   is_identity, is_iso, morphism_key, object_key,
+                   objects_up_to, pullback, rank, sort_key, subgroup_generated)
 
 
 class ClosureError(SiteError):
@@ -88,16 +89,18 @@ class PresheafFragment:
         object.__setattr__(self, "_objs", by_key)
         object.__setattr__(self, "_els", els)
         object.__setattr__(self, "_act", act)
-        self._check_tables()
-
-    def _check_tables(self) -> None:
-        listed = {}
+        listed = {}  # arrow key -> arrow, for every listed arrow
         for a in self.objects:
             for b in self.objects:
                 for f in hom_set(a, b):
                     key = morphism_key(f)
-                    if key in self._act:
+                    if key in act:
                         listed[key] = f
+        object.__setattr__(self, "_listed", listed)
+        self._check_tables()
+
+    def _check_tables(self) -> None:
+        listed = self._listed
         unknown = set(self._act) - set(listed)
         if unknown:
             raise SiteError("fragment action for unknown arrow %s"
@@ -109,8 +112,7 @@ class PresheafFragment:
                 raise SiteError("action table for %s has the wrong shape" % key)
             if len(set(row)) != len(row):
                 raise SiteError("action table for %s is not injective" % key)
-            if f.dom == f.cod and f == identity(f.dom) \
-                    and row != tuple(range(na)):
+            if is_identity(f) and row != tuple(range(na)):
                 raise SiteError("identity arrow must act as the identity")
         for fk, f in listed.items():
             for gk, g in listed.items():
@@ -169,13 +171,7 @@ def assert_pullback_closed(frag: PresheafFragment) -> None:
     when an intersection of element images is strictly larger than the
     image from the apex.
     """
-    from .core import pullback
-    listed = []
-    for a in frag.objects:
-        for b in frag.objects:
-            for f in hom_set(a, b):
-                if morphism_key(f) in frag._act:
-                    listed.append(f)
+    listed = frag._listed.values()
     for f in listed:
         for g in listed:
             if f.cod != g.cod:
@@ -215,90 +211,56 @@ def quotient_classes(atom: FormalAtom, x) -> list:
     return out
 
 
-def representable_fragment(base, objects) -> PresheafFragment:
-    """The functor Hom(base, -) tabulated on the given objects."""
+def _tabulate(site: str, objects, values, name, act) -> PresheafFragment:
+    """The fragment with elements name(e) for e in values(x) at each
+    object x, where an arrow f: a -> b sends e to act(f, e), a member of
+    values(b)."""
     objects = tuple(objects)
-    elements = {}
-    for x in objects:
-        elements[object_key(x)] = tuple(morphism_key(u)
-                                        for u in hom_set(base, x))
+    vals = {object_key(x): values(x) for x in objects}
     action = {}
     for a in objects:
-        homs = hom_set(base, a)
+        source = vals[object_key(a)]
         for b in objects:
-            index = {morphism_key(u): i for i, u in enumerate(hom_set(base, b))}
+            index = {e: i for i, e in enumerate(vals[object_key(b)])}
             for f in hom_set(a, b):
-                action[morphism_key(f)] = tuple(
-                    index[morphism_key(compose(u, f))] for u in homs)
-    return fragment_from_tables(base.site, objects, elements, action)
+                action[morphism_key(f)] = tuple(index[act(f, e)]
+                                                for e in source)
+    elements = {k: tuple(name(e) for e in v) for k, v in vals.items()}
+    return fragment_from_tables(site, objects, elements, action)
+
+
+def representable_fragment(base, objects) -> PresheafFragment:
+    """The functor Hom(base, -) tabulated on the given objects."""
+    return _tabulate(base.site, objects, lambda x: hom_set(base, x),
+                     morphism_key, lambda f, u: compose(u, f))
 
 
 def quotient_fragment(atom: FormalAtom, objects) -> PresheafFragment:
     """The quotient Hom(base, -)/G tabulated on the given objects."""
-    objects = tuple(objects)
-    reps = {object_key(x): quotient_classes(atom, x) for x in objects}
-    elements = {k: tuple(morphism_key(r) for r in v) for k, v in reps.items()}
-    action = {}
-    for a in objects:
-        source = reps[object_key(a)]
-        for b in objects:
-            index = {sort_key(r): i for i, r in enumerate(reps[object_key(b)])}
-            for f in hom_set(a, b):
-                action[morphism_key(f)] = tuple(
-                    index[sort_key(class_rep(atom.group, compose(u, f)))]
-                    for u in source)
-    return fragment_from_tables(atom.site, objects, elements, action)
+    return _tabulate(atom.site, objects, lambda x: quotient_classes(atom, x),
+                     morphism_key,
+                     lambda f, u: class_rep(atom.group, compose(u, f)))
 
 
 def unordered_pairs_fragment(max_size: int = 3) -> PresheafFragment:
     """Nonempty subsets of size at most two of each finite set."""
-    be = backend("finsetinj")
-    objects = tuple(be.objects_up_to(max_size))
-
-    def subsets(n: int) -> list[tuple[int, ...]]:
-        singles = [(i,) for i in range(n)]
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        return singles + pairs
-
-    def name(s) -> str:
-        return "{%s}" % ",".join(map(str, s))
-
-    elements = {object_key(x): tuple(name(s) for s in subsets(x.size))
-                for x in objects}
-    action = {}
-    for a in objects:
-        source = subsets(a.size)
-        for b in objects:
-            index = {s: i for i, s in enumerate(subsets(b.size))}
-            for f in hom_set(a, b):
-                action[morphism_key(f)] = tuple(
-                    index[tuple(sorted(f(i) for i in s))] for s in source)
-    return fragment_from_tables("finsetinj", objects, elements, action)
+    return _tabulate("finsetinj", objects_up_to("finsetinj", max_size),
+                     lambda x: [s for k in (1, 2) for s in
+                                itertools.combinations(range(x.size), k)],
+                     lambda s: "{%s}" % ",".join(map(str, s)),
+                     lambda f, s: tuple(sorted(f(i) for i in s)))
 
 
 def ordered_pairs_fragment(max_size: int = 3) -> PresheafFragment:
     """All pairs (a, b) of each finite set, acted on coordinatewise."""
-    be = backend("finsetinj")
-    objects = tuple(be.objects_up_to(max_size))
-
-    def pairs(n: int) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(n) for j in range(n)]
-
-    elements = {object_key(x): tuple("(%d,%d)" % p for p in pairs(x.size))
-                for x in objects}
-    action = {}
-    for a in objects:
-        source = pairs(a.size)
-        for b in objects:
-            index = {p: i for i, p in enumerate(pairs(b.size))}
-            for f in hom_set(a, b):
-                action[morphism_key(f)] = tuple(
-                    index[(f(i), f(j))] for i, j in source)
-    return fragment_from_tables("finsetinj", objects, elements, action)
+    return _tabulate("finsetinj", objects_up_to("finsetinj", max_size),
+                     lambda x: [(i, j) for i in range(x.size)
+                                for j in range(x.size)],
+                     lambda p: "(%d,%d)" % p,
+                     lambda f, p: (f(p[0]), f(p[1])))
 
 
 def encode_fragment(frag: PresheafFragment) -> dict:
-    from .core import encode_object
     return {"site": frag.site,
             "objects": [encode_object(x) for x in frag.objects],
             "elements": {k: list(v) for k, v in frag.elements},
@@ -306,7 +268,6 @@ def encode_fragment(frag: PresheafFragment) -> dict:
 
 
 def decode_fragment(data: dict) -> PresheafFragment:
-    from .core import decode_object
     for key in ("objects", "elements", "action"):
         if key not in data:
             raise SiteError("fragment payload needs a %r field" % key)
@@ -432,35 +393,9 @@ def decompose(frag: PresheafFragment) -> Decomposition:
 # bounded test-object enumeration and pair coverage
 
 def checker_objects(site: str, depth: int, seeds) -> list:
-    """Deterministic test objects for a checker run.
-
-    Injection site: sizes up to depth plus the largest seed size.  Tree
-    site: at most depth tails and 2*depth+3 explicit nodes, over the
-    branch labels occurring in the seeds.
-    """
-    seeds = tuple(seeds)
-    if site == "finsetinj":
-        top = max((s.size for s in seeds), default=0)
-        return backend(site).objects_up_to(depth + top)
-    from .itree import enumerate_trees
-    labels = sorted({lab for s in seeds for lab in s.labels if lab is not None})
-    return enumerate_trees(depth, 2 * depth + 3, tuple(labels))
-
-
-def _pairs_covered(site: str, depth: int, seeds, tgt, shared) -> bool:
-    """Whether every parallel pair out of tgt agreeing on the image of
-    shared factors through a test object within the bound.
-
-    Any such pair restricts to the union of its two images: at most
-    2|tgt| - |shared| points, or a tree with twice the tails of tgt and
-    2e-1 explicit nodes plus one divergence point per tail.
-    """
-    if site == "finsetinj":
-        top = max((s.size for s in seeds), default=0)
-        return 2 * tgt.size - shared.size <= depth + top
-    tails = len(tgt.tail_ids)
-    explicit = tgt.n_nodes
-    return 2 * tails <= depth and (2 * explicit - 1 + tails) <= 2 * depth + 3
+    """Deterministic test objects for a checker run, as the site bounds
+    them."""
+    return backend(site).checker_objects(depth, tuple(seeds))
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +430,9 @@ def sheaf_check_quotient(atom: FormalAtom, q, depth: int) -> CheckVerdict:
                 "cover": morphism_key(q)}, depth)
         descended[key] = s
 
-    objects = checker_objects(atom.site, depth, (atom.base, s_obj, t_obj))
-    covered = _pairs_covered(atom.site, depth, (atom.base, s_obj, t_obj),
-                             t_obj, s_obj)
+    seeds = (atom.base, s_obj, t_obj)
+    objects = checker_objects(atom.site, depth, seeds)
+    covered = backend(atom.site).pairs_covered(depth, seeds, t_obj, s_obj)
 
     def separated(f) -> bool:
         for x in objects:
@@ -537,10 +472,9 @@ def self_intersection_check(f, depth: int) -> CheckVerdict:
     v;alpha.  fail reports the first u that neither factors nor escapes,
     when the pair bound is exhaustive; unknown otherwise.
     """
-    site = type(f.dom).site
     a_obj, b_obj = f.dom, f.cod
-    objects = checker_objects(site, depth, (a_obj, b_obj))
-    covered = _pairs_covered(site, depth, (a_obj, b_obj), b_obj, a_obj)
+    objects = checker_objects(f.site, depth, (a_obj, b_obj))
+    covered = backend_of(f).pairs_covered(depth, (a_obj, b_obj), b_obj, a_obj)
 
     def excludes(u, hom_y_b) -> bool:
         for x in objects:
@@ -600,11 +534,9 @@ def compute_K(f, depth: int, max_steps: int = 64) -> KResult:
     the inclusion j: k -> B, the corestriction of f, and the group of
     automorphisms of k fixing it.
     """
-    from .core import pullback
-    site = type(f.dom).site
     a_obj, b_obj = f.dom, f.cod
-    objects = checker_objects(site, depth, (a_obj, b_obj))
-    covered = _pairs_covered(site, depth, (a_obj, b_obj), b_obj, a_obj)
+    objects = checker_objects(f.site, depth, (a_obj, b_obj))
+    covered = backend_of(f).pairs_covered(depth, (a_obj, b_obj), b_obj, a_obj)
 
     k, j = b_obj, identity(b_obj)
     steps = []

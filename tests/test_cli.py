@@ -147,3 +147,50 @@ def test_shipped_sample_payloads_stay_valid(capsys):
     assert json.loads(capsys.readouterr().out)["result"] == ["0", "triv"]
     assert main(["tree", "stats", str(DATA / "tail_i.json")]) == 0
     assert json.loads(capsys.readouterr().out)["rank"] == [1, 0]
+
+
+@pytest.mark.parametrize("command", [["tree", "stats"], ["tree", "regmono"],
+                                     ["presheaf", "selfint"],
+                                     ["presheaf", "computek"]])
+@pytest.mark.parametrize("payload", [[], [1, 2], [{"size": 2}]])
+def test_payloads_that_are_not_objects_are_usage_errors(tmp_path, capsys,
+                                                        command, payload):
+    f = _write(tmp_path, "bad.json", payload)
+    assert main(command + [f]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flags", [["audit", "--condition", "c1", "--site",
+                                    "finsetinj", "--bound", "-3"],
+                                   ["audit", "--condition", "c4", "--site",
+                                    "itree", "--bound", "x"],
+                                   ["presheaf", "selfint", "--depth", "-5",
+                                    str(DATA / "root_in_t3.json")]])
+def test_negative_budgets_are_usage_errors(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(flags)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_zero_budget_is_accepted(capsys):
+    assert main(["audit", "--condition", "c4", "--site", "finsetinj",
+                 "--bound", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["instances"] == 1
+
+
+@pytest.mark.parametrize("command", ["stats", "validate"])
+def test_tree_only_commands_reject_set_payloads(tmp_path, capsys, command):
+    f = _write(tmp_path, "two.json", encode_object(FinSet(2)))
+    assert main(["tree", command, "--site", "finsetinj", f]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tree payload" in captured.err
+
+
+def test_generic_tree_commands_still_take_sets(tmp_path, capsys):
+    f = _write(tmp_path, "two.json", encode_object(FinSet(2)))
+    assert main(["tree", "embeddings", "--site", "finsetinj", f, f]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 2

@@ -1,0 +1,97 @@
+"""Site dispatch stays in the backends: every backend implements the
+whole Site protocol, generic modules never name a site, and untagged
+payloads still find their backend."""
+
+import pathlib
+import re
+
+import pytest
+
+from atomkit import (FinSet, SiteError, build, decode_morphism, decode_object,
+                     encode_morphism, encode_object, enumerate_embeddings,
+                     leaf, make_injection, node, tail)
+from atomkit.core import BACKENDS, Site
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "atomkit"
+GENERIC = ("core", "atoms", "audit", "presheaf")
+
+
+def _members() -> set:
+    methods = {n for n in vars(Site) if not n.startswith("_")}
+    return methods | set(Site.__annotations__)
+
+
+def test_every_backend_implements_every_site_member():
+    members = _members()
+    assert {"tag", "hom_set", "checker_objects", "zigzag"} <= members
+    assert sorted(BACKENDS) == ["finsetinj", "itree"]
+    for tag, be in BACKENDS.items():
+        missing = sorted(m for m in members if not hasattr(be, m))
+        assert missing == [], (tag, missing)
+        assert be.tag == tag
+
+
+def test_no_function_local_package_imports():
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        hits = re.findall(r"^[ \t]+from \.", text, re.MULTILINE)
+        assert hits == [], path.name
+
+
+def test_generic_modules_never_compare_a_site_with_a_literal():
+    pattern = re.compile(r'(site|tag)\)? ?[!=]= ?"')
+    for name in GENERIC:
+        text = (SRC / (name + ".py")).read_text(encoding="utf-8")
+        lines = [ln for ln in text.splitlines() if pattern.search(ln)]
+        assert lines == [], name
+
+
+def _untagged(payload: dict) -> dict:
+    return {k: v for k, v in payload.items() if k != "site"}
+
+
+@pytest.mark.parametrize("obj", [
+    FinSet(0), FinSet(3),
+    build(leaf()), build(tail("i")), build(node(leaf(), tail("j"))),
+])
+def test_untagged_object_payloads_find_their_site(obj):
+    data = _untagged(encode_object(obj))
+    assert "site" not in data
+    assert decode_object(data) == obj
+    assert decode_object(data, obj.site) == obj
+
+
+T3 = build(node(leaf(), leaf()))
+
+
+@pytest.mark.parametrize("f", [
+    make_injection(0, 2, ()), make_injection(2, 3, (2, 0)),
+    enumerate_embeddings(build(leaf()), T3)[0], enumerate_embeddings(T3, T3)[1],
+])
+def test_untagged_morphism_payloads_find_their_site(f):
+    data = _untagged(encode_morphism(f))
+    assert "site" not in data
+    assert decode_morphism(data) == f
+    assert decode_morphism(data, f.site) == f
+
+
+@pytest.mark.parametrize("bad", [[], [1, 2], [{"size": 2}], "x", 3, None])
+def test_payloads_that_are_not_objects_are_site_errors(bad):
+    with pytest.raises(SiteError, match="JSON object"):
+        decode_object(bad)
+    with pytest.raises(SiteError, match="JSON object"):
+        decode_morphism(bad)
+
+
+def test_unrecognizable_payloads_keep_their_messages():
+    with pytest.raises(SiteError, match="object payload carries no "
+                                        "recognizable site tag"):
+        decode_object({"map": [0]})
+    with pytest.raises(SiteError, match="morphism payload carries no "
+                                        "recognizable site tag"):
+        decode_morphism({"size": 1})
+    with pytest.raises(SiteError, match="payload says 'itree', expected "
+                                        "'finsetinj'"):
+        decode_object({"site": "itree", "size": 1}, "finsetinj")
+    with pytest.raises(SiteError, match="unknown site tag"):
+        decode_object({"site": ["itree"], "size": 1})
