@@ -74,8 +74,9 @@ def _tree_stats(t):
 
 
 def run_tree_validate(args) -> int:
+    data = _load(args.file)
     try:
-        t = decode_object(_load(args.file), args.site)
+        t = decode_object(data, args.site)
     except SiteError as exc:
         _emit({"valid": False, "reason": str(exc)}, args)
         return 1
@@ -182,9 +183,14 @@ def run_atoms_compose(args) -> int:
 
 
 def _decode_atom_map(payload: dict, site: str, variant: str) -> AtomMap:
+    if not isinstance(payload, dict):
+        raise SiteError("atom map payload must be a JSON object")
     for fieldname in ("source", "target", "rep"):
         if fieldname not in payload:
             raise SiteError("atom map payload needs a %r field" % fieldname)
+        if not isinstance(payload[fieldname], dict):
+            raise SiteError("atom map field %r must be a JSON object"
+                            % fieldname)
     source = decode_atom(payload["source"], site)
     target = decode_atom(payload["target"], site)
     rep = decode_morphism(payload["rep"], source.site)

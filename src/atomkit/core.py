@@ -306,6 +306,11 @@ def pullback_is_universal(square: PullbackSquare, test_objects: Iterable) -> boo
 # ---------------------------------------------------------------------------
 # serialization helpers
 
+def is_int(value) -> bool:
+    """Whether a decoded JSON value is an integer; JSON booleans are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def encode_object(obj) -> dict:
     return backend_of(obj).encode_object(obj)
 

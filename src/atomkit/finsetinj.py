@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .core import (Cocone, PullbackSquare, RankValue, SiteError, Span,
-                   amalgamate, compose, object_key, register_backend)
+                   amalgamate, compose, is_int, object_key, register_backend)
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ class FinSetInjBackend:
         if "size" not in data:
             raise SiteError("finsetinj object payload needs a 'size' field")
         size = data["size"]
-        if not isinstance(size, int):
+        if not is_int(size):
             raise SiteError("'size' must be an integer")
         return FinSet(size)
 
@@ -172,7 +172,10 @@ class FinSetInjBackend:
         for key in ("dom", "cod", "map"):
             if key not in data:
                 raise SiteError("finsetinj morphism payload needs a %r field" % key)
-        if not isinstance(data["map"], list):
+        if not (is_int(data["dom"]) and is_int(data["cod"])):
+            raise SiteError("'dom' and 'cod' must be integers")
+        if not (isinstance(data["map"], list)
+                and all(is_int(v) for v in data["map"])):
             raise SiteError("'map' must be a list of integers")
         return make_injection(data["dom"], data["cod"], data["map"])
 

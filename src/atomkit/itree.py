@@ -20,6 +20,15 @@ it enters.  Every infinite computation below (pullbacks, amalgams,
 witnesses) bottoms out because the two sides eventually run along pure
 continuations, which are either merged into a single tail marker or
 split at a bounded depth.
+
+Every tree value is made by one pipeline.  A construction walks its
+inputs into mutable scratch nodes (_N), each recording the host
+position it came from: nested forms and payloads are copied, denoted
+subtrees are carved with every comb as one tail marker.  _freeze then
+numbers the scratch tree in preorder and is the only place a
+FinitaryTree is built.  Finally the embeddings are read off the frozen
+scratch tree: _placements reports where each host node and host tail
+landed, _inclusion sends each node back to its recorded position.
 """
 
 from __future__ import annotations
@@ -90,14 +99,67 @@ class FinitaryTree:
     def tail_ids(self) -> tuple[int, ...]:
         return tuple(i for i, k in enumerate(self.kinds) if k == TAIL)
 
-    def sort_key(self):
-        return _nested_key(canonical_nested(to_nested(self)))
-
 
 class TreeStats(NamedTuple):
     branch_count: int
     f_count: int
     rank: RankValue
+
+
+# ---------------------------------------------------------------------------
+# scratch trees: the one way a tree value is made
+
+class _N:
+    __slots__ = ("kind", "label", "kids", "meta")
+
+    def __init__(self, kind, label=None, kids=None, meta=None):
+        self.kind = kind
+        self.label = label
+        self.kids = kids if kids is not None else []
+        self.meta = meta if meta is not None else {}
+
+
+def _freeze(root: _N) -> tuple[FinitaryTree, list[_N]]:
+    """Number a scratch tree in preorder; order[i] became node i."""
+    kinds, children, labels, order = [], [], [], []
+
+    def go(n):
+        idx = len(kinds)
+        order.append(n)
+        kinds.append(n.kind), children.append(None), labels.append(n.label)
+        if n.kind == INTERNAL:
+            a = go(n.kids[0])
+            b = go(n.kids[1])
+            children[idx] = (a, b)
+        return idx
+
+    go(root)
+    return FinitaryTree(tuple(kinds), tuple(children), tuple(labels)), order
+
+
+def _copy(tree: FinitaryTree, nid: int = 0) -> _N:
+    return _N(tree.kinds[nid], tree.labels[nid],
+              [_copy(tree, c) for c in tree.children[nid] or ()])
+
+
+def _n_key(n: _N):
+    if n.kind == LEAF:
+        return (0,)
+    if n.kind == TAIL:
+        return (1, n.label)
+    return (2, _n_key(n.kids[0]), _n_key(n.kids[1]))
+
+
+def _canonical(n: _N) -> _N:
+    """Collapse redundant comb encodings and sort unordered children,
+    bottom-up; a collapsed tail keeps the recorded positions of both."""
+    n.kids = [_canonical(k) for k in n.kids]
+    if n.kind == INTERNAL:
+        for t, l in (n.kids, n.kids[::-1]):
+            if t.kind == TAIL and l.kind == LEAF:
+                return _N(TAIL, t.label, meta={**t.meta, **n.meta})
+        n.kids.sort(key=_n_key)
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -117,60 +179,18 @@ def node(a, b):
 
 def build(nested) -> FinitaryTree:
     """Materialize a nested form with preorder numbering."""
-    kinds, children, labels = [], [], []
 
-    def go(n):
-        idx = len(kinds)
-        if n[0] == "leaf":
-            kinds.append(LEAF), children.append(None), labels.append(None)
-        elif n[0] == "tail":
-            kinds.append(TAIL), children.append(None), labels.append(n[1])
-        else:
-            kinds.append(INTERNAL), children.append(None), labels.append(None)
-            a = go(n[1])
-            b = go(n[2])
-            children[idx] = (a, b)
-        return idx
+    def go(n) -> _N:
+        if n[0] == "node":
+            return _N(INTERNAL, kids=[go(n[1]), go(n[2])])
+        return _N(LEAF) if n[0] == "leaf" else _N(TAIL, n[1])
 
-    go(nested)
-    return FinitaryTree(tuple(kinds), tuple(children), tuple(labels))
-
-
-def to_nested(tree: FinitaryTree, nid: int = 0):
-    kind = tree.kinds[nid]
-    if kind == LEAF:
-        return ("leaf",)
-    if kind == TAIL:
-        return ("tail", tree.labels[nid])
-    a, b = tree.children[nid]
-    return ("node", to_nested(tree, a), to_nested(tree, b))
-
-
-def _nested_key(n):
-    if n[0] == "leaf":
-        return (0,)
-    if n[0] == "tail":
-        return (1, n[1])
-    return (2, _nested_key(n[1]), _nested_key(n[2]))
-
-
-def canonical_nested(n):
-    """Collapse redundant comb encodings and sort unordered children."""
-    if n[0] != "node":
-        return n
-    a, b = canonical_nested(n[1]), canonical_nested(n[2])
-    if a[0] == "tail" and b[0] == "leaf":
-        return a
-    if b[0] == "tail" and a[0] == "leaf":
-        return b
-    if _nested_key(b) < _nested_key(a):
-        a, b = b, a
-    return ("node", a, b)
+    return _freeze(go(nested))[0]
 
 
 def canonical_form(tree: FinitaryTree) -> FinitaryTree:
     """The minimal encoding; equal canonical forms mean isomorphic trees."""
-    return build(canonical_nested(to_nested(tree)))
+    return _freeze(_canonical(_copy(tree)))[0]
 
 
 def validate_tree(data: dict) -> FinitaryTree:
@@ -191,28 +211,23 @@ def _validate_tree_mapped(data: dict) -> tuple[FinitaryTree, dict[int, int]]:
     root = data["root"]
     if root not in table:
         raise SiteError("root id %r is not a listed node" % root)
+    seen = set()
 
-    kinds, children, labels = [], [], []
-    idmap: dict[int, int] = {}
-
-    def go(old):
-        if old in idmap:
+    def go(old) -> _N:
+        if old in seen:
             raise SiteError("node %r has more than one parent" % old)
+        seen.add(old)
         row = table[old]
-        idx = len(kinds)
-        idmap[old] = idx
         kind = row["kind"]
         if kind == "internal":
             ch = row.get("children")
             if not isinstance(ch, list) or len(ch) != 2:
                 raise SiteError("internal node %r needs a 2-element 'children' list" % old)
-            kinds.append(INTERNAL), children.append(None), labels.append(None)
             for c in ch:
                 if c not in table:
                     raise SiteError("child id %r of node %r is not a listed node" % (c, old))
-            a, b = go(ch[0]), go(ch[1])
-            children[idx] = (a, b)
-        elif kind in ("leaf", "tail"):
+            return _N(INTERNAL, kids=[go(ch[0]), go(ch[1])], meta={"id": old})
+        if kind in ("leaf", "tail"):
             if row.get("children"):
                 raise SiteError("%s node %r must not have children" % (kind, old))
             label = row.get("label")
@@ -220,18 +235,14 @@ def _validate_tree_mapped(data: dict) -> tuple[FinitaryTree, dict[int, int]]:
                 raise SiteError("node %r: 'label' is required exactly on tail nodes" % old)
             if label is not None and not isinstance(label, str):
                 raise SiteError("node %r: 'label' must be a string" % old)
-            kinds.append(LEAF if kind == "leaf" else TAIL)
-            children.append(None)
-            labels.append(label)
-        else:
-            raise SiteError("node %r has unknown kind %r" % (old, kind))
-        return idx
+            return _N(LEAF if kind == "leaf" else TAIL, label, meta={"id": old})
+        raise SiteError("node %r has unknown kind %r" % (old, kind))
 
-    go(root)
-    if len(idmap) != len(table):
+    tree, order = _freeze(go(root))
+    if len(seen) != len(table):
         raise SiteError("nodes %s are not reachable from the root"
-                        % sorted(set(table) - set(idmap)))
-    return FinitaryTree(tuple(kinds), tuple(children), tuple(labels)), idmap
+                        % sorted(set(table) - seen))
+    return tree, {n.meta["id"]: i for i, n in enumerate(order)}
 
 
 # ---------------------------------------------------------------------------
@@ -335,36 +346,24 @@ def parent_addr(tree: FinitaryTree, addr):
     return (0, parent_map(tree)[nid])
 
 
-def comb_view(tree: FinitaryTree, addr) -> str | None:
-    """The branch label when the denoted subtree below addr is a pure
-    continuation (one branch, every off-branch child a leaf), else None."""
+def comb_view(tree: FinitaryTree, addr) -> int | None:
+    """The id of the tail marker when the denoted subtree below addr is a
+    pure continuation (one branch, every off-branch child a leaf), else
+    None."""
     if addr[0] == 1:
-        return tree.labels[addr[1]] if addr[3] == 0 else None
+        return addr[1] if addr[3] == 0 else None
     nid = addr[1]
     kind = tree.kinds[nid]
-    if kind == TAIL:
-        return tree.labels[nid]
-    if kind == LEAF:
-        return None
+    if kind != INTERNAL:
+        return nid if kind == TAIL else None
     a, b = tree.children[nid]
-    va = comb_view(tree, (0, a))
-    if va is not None and tree.kinds[b] == LEAF:
-        return va
-    vb = comb_view(tree, (0, b))
-    if vb is not None and tree.kinds[a] == LEAF:
-        return vb
+    ta = comb_view(tree, (0, a))
+    if ta is not None and tree.kinds[b] == LEAF:
+        return ta
+    tb = comb_view(tree, (0, b))
+    if tb is not None and tree.kinds[a] == LEAF:
+        return tb
     return None
-
-
-def comb_view_tail(tree: FinitaryTree, addr) -> int:
-    """The unique tail marker at or below a comb-view address."""
-    if addr[0] == 1:
-        return addr[1]
-    nid = addr[1]
-    while tree.kinds[nid] == INTERNAL:
-        a, b = tree.children[nid]
-        nid = a if comb_view(tree, (0, a)) is not None else b
-    return nid
 
 
 def comb_children(tree: FinitaryTree, addr):
@@ -428,24 +427,25 @@ class TreeEmbedding:
 
     site: ClassVar[str] = "itree"
 
-    def route(self, t: int) -> tuple[int, int]:
-        for a, b, e in self.tail_routes:
+    def route(self, t: int) -> int:
+        """The target tail whose branch the continuation of tail t follows."""
+        for a, b, _e in self.tail_routes:
             if a == t:
-                return (b, e)
+                return b
         raise SiteError("source node %d is not a routed tail" % t)
 
     def image(self, addr):
         if addr[0] == 0:
             return self.explicit_images[addr[1]]
         _, t, k, side = addr
-        s, _entry = self.route(t)
-        return walk_branch(self.cod, s, self.explicit_images[t], k, side)
+        return walk_branch(self.cod, self.route(t), self.explicit_images[t],
+                           k, side)
 
     def then(self, other: "TreeEmbedding") -> "TreeEmbedding":
         if self.cod != other.dom:
             raise SiteError("embedding composition: middle objects differ")
         imgs = tuple(other.image(a) for a in self.explicit_images)
-        targets = {t: other.route(s)[0] for t, s, _e in self.tail_routes}
+        targets = {t: other.route(s) for t, s, _e in self.tail_routes}
         return make_embedding(self.dom, other.cod, imgs, targets)
 
     def sort_key(self):
@@ -581,59 +581,52 @@ def preimage_fn(emb: TreeEmbedding) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# mutable nested scratch nodes for constructions
+# carving denoted subtrees and reading frozen scratch trees back
 
-class _N:
-    __slots__ = ("kind", "label", "kids", "meta")
-
-    def __init__(self, kind, label=None, kids=None, meta=None):
-        self.kind = kind
-        self.label = label
-        self.kids = kids if kids is not None else []
-        self.meta = meta if meta is not None else {}
-
-
-def _n_key(n: _N):
-    if n.kind == LEAF:
-        return (0,)
-    if n.kind == TAIL:
-        return (1, n.label)
-    return (2, _n_key(n.kids[0]), _n_key(n.kids[1]))
+def _carve(host: FinitaryTree, pos, side: str) -> _N:
+    """The denoted subtree of host below pos, every comb as one tail
+    marker, each node recording its host position under side."""
+    ch = denoted_children(host, pos)
+    if ch is None:
+        return _N(LEAF, meta={side: pos})
+    t = comb_view(host, pos)
+    if t is not None:
+        return _N(TAIL, host.labels[t], meta={side: pos})
+    return _N(INTERNAL, meta={side: pos},
+              kids=[_carve(host, ch[0], side), _carve(host, ch[1], side)])
 
 
-def _collapse(n: _N) -> _N:
-    n.kids = [_collapse(k) for k in n.kids]
-    if n.kind == INTERNAL:
-        for t, l in (n.kids, reversed(n.kids)):
-            if t.kind == TAIL and l.kind == LEAF:
-                meta = dict(t.meta)
-                meta.update(n.meta)
-                return _N(TAIL, t.label, meta=meta)
-    return n
+def _placements(order: list[_N], host: FinitaryTree, side: str):
+    """Where the host positions recorded under side landed in a frozen
+    scratch tree: an address per explicit host node (None where nothing
+    landed) and the frozen tail each host tail now follows.  A scratch
+    tail recorded at a host comb stands for the whole comb: the comb's
+    explicit nodes land along the tail's continuation."""
+    imgs: list = [None] * host.n_nodes
+    tails: dict[int, int] = {}
+    for fid, n in enumerate(order):
+        pos = n.meta.get(side)
+        if pos is None:
+            continue
+        t = comb_view(host, pos) if n.kind == TAIL else None
+        if t is not None:
+            tails[t] = fid
+            if pos[0] == 0:
+                for nid, rel, sd in comb_layout(host, pos[1]):
+                    imgs[nid] = (0, fid) if rel == 0 else (1, fid, rel, sd)
+        elif pos[0] == 0:
+            imgs[pos[1]] = (0, fid)
+    return imgs, tails
 
 
-def _sort_kids(n: _N) -> None:
-    for k in n.kids:
-        _sort_kids(k)
-    n.kids.sort(key=_n_key)
-
-
-def _freeze(root: _N) -> tuple[FinitaryTree, list[_N]]:
-    kinds, children, labels, order = [], [], [], []
-
-    def go(n):
-        idx = len(kinds)
-        order.append(n)
-        n.meta["fid"] = idx
-        kinds.append(n.kind), children.append(None), labels.append(n.label)
-        if n.kind == INTERNAL:
-            a = go(n.kids[0])
-            b = go(n.kids[1])
-            children[idx] = (a, b)
-        return idx
-
-    go(root)
-    return FinitaryTree(tuple(kinds), tuple(children), tuple(labels)), order
+def _inclusion(obj: FinitaryTree, order: list[_N], host: FinitaryTree,
+               side: str) -> TreeEmbedding:
+    """The embedding of a frozen scratch tree into host that sends each
+    node to the position recorded under side and each tail along the host
+    tail recorded under side + "t"."""
+    return make_embedding(obj, host, tuple(n.meta[side] for n in order),
+                          {fid: n.meta[side + "t"]
+                           for fid, n in enumerate(order) if n.kind == TAIL})
 
 
 # ---------------------------------------------------------------------------
@@ -651,30 +644,21 @@ def tree_pullback(f: TreeEmbedding, g: TreeEmbedding) -> PullbackSquare:
     X, Y, Z = f.dom, g.dom, f.cod
 
     def walk(xa, ya, za) -> _N:
-        if denoted_children(X, xa) is None or denoted_children(Y, ya) is None:
+        xc, yc = denoted_children(X, xa), denoted_children(Y, ya)
+        if xc is None or yc is None:
             return _N(LEAF, meta={"x": xa, "y": ya})
-        cx, cy = comb_view(X, xa), comb_view(Y, ya)
-        if cx is not None and cy is not None:
-            tx, ty = comb_view_tail(X, xa), comb_view_tail(Y, ya)
-            if f.route(tx)[0] == g.route(ty)[0]:
-                return _N(TAIL, cx, meta={"x": xa, "y": ya, "xt": tx, "yt": ty})
-        xc = denoted_children(X, xa)
-        yc = denoted_children(Y, ya)
-        by_x = {f.image(xc[0]): xc[0], f.image(xc[1]): xc[1]}
-        by_y = {g.image(yc[0]): yc[0], g.image(yc[1]): yc[1]}
+        tx, ty = comb_view(X, xa), comb_view(Y, ya)
+        if tx is not None and ty is not None and f.route(tx) == g.route(ty):
+            return _N(TAIL, X.labels[tx],
+                      meta={"x": xa, "y": ya, "xt": tx, "yt": ty})
+        by_x = {f.image(c): c for c in xc}
+        by_y = {g.image(c): c for c in yc}
         kids = [walk(by_x[z], by_y[z], z) for z in denoted_children(Z, za)]
         return _N(INTERNAL, kids=kids, meta={"x": xa, "y": ya})
 
-    root = _collapse(walk((0, 0), (0, 0), (0, 0)))
-    _sort_kids(root)
-    apex, order = _freeze(root)
-    to_left = make_embedding(apex, X, tuple(n.meta["x"] for n in order),
-                             {n.meta["fid"]: n.meta["xt"]
-                              for n in order if n.kind == TAIL})
-    to_right = make_embedding(apex, Y, tuple(n.meta["y"] for n in order),
-                              {n.meta["fid"]: n.meta["yt"]
-                               for n in order if n.kind == TAIL})
-    return PullbackSquare(f, g, apex, to_left, to_right)
+    apex, order = _freeze(_canonical(walk((0, 0), (0, 0), (0, 0))))
+    return PullbackSquare(f, g, apex, _inclusion(apex, order, X, "x"),
+                          _inclusion(apex, order, Y, "y"))
 
 
 # ---------------------------------------------------------------------------
@@ -692,70 +676,39 @@ def tree_amalgamate(span: Span) -> Cocone:
     """
     f, g = span.left, span.right
     X, A, B = span.apex, f.cod, g.cod
-    route_reg: dict[str, dict[int, _N]] = {"a": {}, "b": {}}
-    trees = {"a": A, "b": B}
-
-    def swallow(n, side, pos):
-        tree = trees[side]
-        if pos[0] == 0:
-            n.meta[side + "_in"] = comb_layout(tree, pos[1])
-        route_reg[side][comb_view_tail(tree, pos)] = n
-
-    def copy_from(side, pos) -> _N:
-        tree = trees[side]
-        ch = denoted_children(tree, pos)
-        if ch is None:
-            return _N(LEAF, meta={side: pos})
-        cv = comb_view(tree, pos)
-        if cv is not None:
-            n = _N(TAIL, cv, meta={side: pos})
-            swallow(n, side, pos)
-            return n
-        return _N(INTERNAL, kids=[copy_from(side, ch[0]), copy_from(side, ch[1])],
-                  meta={side: pos})
 
     def merge(x, a, b) -> _N:
         if x is not None and denoted_children(X, x) is None:
             x = None
         if b is None:
-            return copy_from("a", a)
+            return _carve(A, a, "a")
         if a is None:
-            return copy_from("b", b)
+            return _carve(B, b, "b")
         da, db = denoted_children(A, a), denoted_children(B, b)
         if da is None and db is None:
             return _N(LEAF, meta={"a": a, "b": b})
-        if da is None:
-            n = copy_from("b", b)
-            n.meta["a"] = a
+        if da is None or db is None:
+            # a leaf on one side lies over the other side's whole subtree
+            n = _carve(B, b, "b") if da is None else _carve(A, a, "a")
+            n.meta.update(a=a, b=b)
             return n
-        if db is None:
-            n = copy_from("a", a)
-            n.meta["b"] = b
-            return n
-        ca, cb = comb_view(A, a), comb_view(B, b)
+        ta, tb = comb_view(A, a), comb_view(B, b)
+        combs = ta is not None and tb is not None
         if x is not None:
             # inside the apex image the legs force the pairing of children;
             # a comb merge is only allowed where the apex itself continues
             # as a comb, so that both routes follow one identified branch
-            if comb_view(X, x) is not None and ca is not None \
-                    and cb is not None:
-                n = _N(TAIL, ca, meta={"a": a, "b": b})
-                swallow(n, "a", a)
-                swallow(n, "b", b)
-                return n
+            if comb_view(X, x) is not None and combs:
+                return _N(TAIL, A.labels[ta], meta={"a": a, "b": b})
             x1, x2 = denoted_children(X, x)
             kids = [merge(x1, f.image(x1), g.image(x1)),
                     merge(x2, f.image(x2), g.image(x2))]
-        elif ca is not None and cb is not None:
-            if ca == cb:
-                n = _N(TAIL, ca, meta={"a": a, "b": b})
-                swallow(n, "a", a)
-                swallow(n, "b", b)
-                return n
+        elif combs:
+            if A.labels[ta] == B.labels[tb]:
+                return _N(TAIL, A.labels[ta], meta={"a": a, "b": b})
             ac, ao = comb_children(A, a)
             bc, bo = comb_children(B, b)
-            return _N(INTERNAL, kids=[merge(None, ac, bo), merge(None, ao, bc)],
-                      meta={"a": a, "b": b})
+            kids = [merge(None, ac, bo), merge(None, ao, bc)]
         else:
             (a1, a2), (b1, b2) = da, db
             straight = (len(labels_below(A, a1) & labels_below(B, b1))
@@ -768,27 +721,13 @@ def tree_amalgamate(span: Span) -> Cocone:
         return _N(INTERNAL, kids=kids, meta={"a": a, "b": b})
 
     obj, order = _freeze(merge((0, 0), (0, 0), (0, 0)))
-
-    def harvest(side) -> TreeEmbedding:
-        tree = trees[side]
-        imgs: list = [None] * tree.n_nodes
-        for n in order:
-            fid = n.meta["fid"]
-            pos = n.meta.get(side)
-            if pos is not None and pos[0] == 0:
-                imgs[pos[1]] = (0, fid)
-            for nid, rel, sd in n.meta.get(side + "_in", ()):
-                here = (0, fid) if rel == 0 else (1, fid, rel, sd)
-                if imgs[nid] is None:
-                    imgs[nid] = here
-                elif imgs[nid] != here:
-                    raise SiteError("conflicting image assignment in amalgam")
-        if any(i is None for i in imgs):
+    legs = []
+    for host, side in ((A, "a"), (B, "b")):
+        imgs, tails = _placements(order, host, side)
+        if None in imgs:
             raise SiteError("amalgam failed to place every node")
-        targets = {t: route_reg[side][t].meta["fid"] for t in tree.tail_ids}
-        return make_embedding(tree, obj, imgs, targets)
-
-    return Cocone(obj, harvest("a"), harvest("b"))
+        legs.append(make_embedding(host, obj, imgs, tails))
+    return Cocone(obj, *legs)
 
 
 # ---------------------------------------------------------------------------
@@ -796,45 +735,16 @@ def tree_amalgamate(span: Span) -> Cocone:
 
 class SubtreeView(NamedTuple):
     tree: FinitaryTree
-    to_host: Callable  # subtree address -> host address
     from_host: dict    # host explicit id -> subtree address
     tail_map: dict     # host tail id -> subtree tail id
 
 
 def subtree_at(host: FinitaryTree, addr) -> SubtreeView:
     """Materialize the denoted subtree below addr as an object."""
-
-    def cp(pos) -> _N:
-        ch = denoted_children(host, pos)
-        if ch is None:
-            return _N(LEAF, meta={"p": pos})
-        cv = comb_view(host, pos)
-        if cv is not None:
-            return _N(TAIL, cv, meta={"p": pos})
-        return _N(INTERNAL, kids=[cp(ch[0]), cp(ch[1])], meta={"p": pos})
-
-    sub, order = _freeze(cp(addr))
-    pos_of = [n.meta["p"] for n in order]
-
-    def to_host(sa):
-        if sa[0] == 0:
-            return pos_of[sa[1]]
-        _, st, k, side = sa
-        p = pos_of[st]
-        return walk_branch(host, comb_view_tail(host, p), p, k, side)
-
-    from_host: dict[int, tuple] = {}
-    tail_map: dict[int, int] = {}
-    for sid, n in enumerate(order):
-        p = n.meta["p"]
-        if n.kind == TAIL:
-            tail_map[comb_view_tail(host, p)] = sid
-            if p[0] == 0:
-                for nid, rel, sd in comb_layout(host, p[1]):
-                    from_host[nid] = (0, sid) if rel == 0 else (1, sid, rel, sd)
-        elif p[0] == 0:
-            from_host[p[1]] = (0, sid)
-    return SubtreeView(sub, to_host, from_host, tail_map)
+    sub, order = _freeze(_carve(host, addr, "p"))
+    imgs, tails = _placements(order, host, "p")
+    return SubtreeView(sub, {i: a for i, a in enumerate(imgs) if a is not None},
+                       tails)
 
 
 # ---------------------------------------------------------------------------
@@ -851,102 +761,54 @@ def regular_mono_witness(emb: TreeEmbedding):
     """
     X, Y = emb.dom, emb.cod
     pre = preimage_fn(emb)
-    shared_reg: dict[int, _N] = {}
+    point = build(leaf())
 
-    def copy_fin(tree: FinitaryTree):
-        nodes: dict[int, _N] = {}
-        tails: dict[int, _N] = {}
-
-        def c(nid) -> _N:
-            n = _N(tree.kinds[nid], tree.labels[nid])
-            nodes[nid] = n
-            if tree.kinds[nid] == TAIL:
-                tails[nid] = n
-            if tree.kinds[nid] == INTERNAL:
-                a, b = tree.children[nid]
-                n.kids = [c(a), c(b)]
-            return n
-
-        return c(0), nodes, tails
-
-    def replacement(p) -> _N:
-        view = subtree_at(Y, p)
-        if view.tree.n_nodes == 1 and view.tree.kinds[0] == LEAF:
-            return _N(LEAF, meta={"y": p})
-        ch = denoted_children(Y, p)
+    def replacement(p, ch) -> _N:
         s1, s2 = subtree_at(Y, ch[0]), subtree_at(Y, ch[1])
-        point = build(leaf())
         cone = tree_amalgamate(Span(
             make_embedding(point, s1.tree, ((0, 0),), {}),
             make_embedding(point, s2.tree, ((0, 0),), {})))
-        copy1, n1, t1 = copy_fin(cone.obj)
-        copy2, n2, t2 = copy_fin(cone.obj)
-        return _N(INTERNAL, kids=[copy1, copy2],
-                  meta={"y": p,
-                        "repl": (s1, s2, cone.from_left, cone.from_right,
-                                 (n1, t1), (n2, t2))})
+        return _N(INTERNAL, kids=[_copy(cone.obj), _copy(cone.obj)],
+                  meta={"y": p, "repl": ((s1, cone.from_left),
+                                         (s2, cone.from_right))})
 
     def walk(p) -> _N:
         xp = pre(p)
         if xp is None:
             raise SiteError("walk escaped the embedding image")
+        ch = denoted_children(Y, p)
         if denoted_children(X, xp) is None:
-            return replacement(p)
-        cv = comb_view(Y, p)
+            return _N(LEAF, meta={"y": p}) if ch is None else replacement(p, ch)
+        t = comb_view(Y, p)
         # swallow a comb only where the source covers it cofinally, i.e.
         # keeps routing a tail along this branch
-        if cv is not None and comb_view(X, xp) is not None:
-            n = _N(TAIL, cv, meta={"y": p})
-            if p[0] == 0:
-                n.meta["y_in"] = comb_layout(Y, p[1])
-            shared_reg[comb_view_tail(Y, p)] = n
-            return n
-        ch = denoted_children(Y, p)
+        if t is not None and comb_view(X, xp) is not None:
+            return _N(TAIL, Y.labels[t], meta={"y": p})
         return _N(INTERNAL, kids=[walk(ch[0]), walk(ch[1])], meta={"y": p})
 
     doubled, order = _freeze(walk((0, 0)))
-    imgs1: list = [None] * Y.n_nodes
-    imgs2: list = [None] * Y.n_nodes
-    routes1: dict[int, int] = {}
-    routes2: dict[int, int] = {}
-    for t, n in shared_reg.items():
-        routes1[t] = routes2[t] = n.meta["fid"]
-
-    def translate(ca, nodes, tails):
-        if ca[0] == 0:
-            return (0, nodes[ca[1]].meta["fid"])
-        _, ct, k, sd = ca
-        return (1, tails[ct].meta["fid"], k, sd)
-
-    def place(view, into_c, copy_maps, imgs, routes):
-        nodes, tails = copy_maps
-        for yid, sa in view.from_host.items():
-            imgs[yid] = translate(into_c.image(sa), nodes, tails)
-        for ytail, stail in view.tail_map.items():
-            routes[ytail] = tails[into_c.route(stail)[0]].meta["fid"]
-
-    for n in order:
-        fid = n.meta["fid"]
-        y = n.meta.get("y")
-        if "repl" in n.meta:
-            s1, s2, c1, c2, maps1, maps2 = n.meta["repl"]
-            if y[0] == 0:
-                imgs1[y[1]] = imgs2[y[1]] = (0, fid)
-            place(s1, c1, maps1, imgs1, routes1)
-            place(s2, c2, maps2, imgs1, routes1)
-            place(s1, c1, maps2, imgs2, routes2)
-            place(s2, c2, maps1, imgs2, routes2)
-        else:
-            if y is not None and y[0] == 0:
-                imgs1[y[1]] = imgs2[y[1]] = (0, fid)
-            for nid, rel, sd in n.meta.get("y_in", ()):
-                here = (0, fid) if rel == 0 else (1, fid, rel, sd)
-                imgs1[nid] = imgs2[nid] = here
-    if any(i is None for i in imgs1):
+    imgs, routes = _placements(order, Y, "y")
+    maps = ((imgs, routes), (list(imgs), dict(routes)))
+    for fid, n in enumerate(order):
+        if "repl" not in n.meta:
+            continue
+        # the two amalgam copies follow n in preorder, and the amalgam is
+        # numbered in preorder too, so its node i sits at base + i of a
+        # copy; e1 sends the child subtrees straight, e2 swapped
+        (s1, c1), (s2, c2) = n.meta["repl"]
+        b1 = fid + 1
+        b2 = b1 + c1.cod.n_nodes
+        for view, into, bases in ((s1, c1, (b1, b2)), (s2, c2, (b2, b1))):
+            for (im, ro), base in zip(maps, bases):
+                for yid, sa in view.from_host.items():
+                    ca = into.image(sa)
+                    im[yid] = (ca[0], base + ca[1]) + ca[2:]
+                for yt, st in view.tail_map.items():
+                    ro[yt] = base + into.route(st)
+    if None in imgs:
         raise SiteError("doubled tree failed to place every node")
-    return (doubled,
-            make_embedding(Y, doubled, imgs1, routes1),
-            make_embedding(Y, doubled, imgs2, routes2))
+    e1, e2 = (make_embedding(Y, doubled, im, ro) for im, ro in maps)
+    return doubled, e1, e2
 
 
 def equalizer_of(e1: TreeEmbedding, e2: TreeEmbedding):
@@ -960,20 +822,16 @@ def equalizer_of(e1: TreeEmbedding, e2: TreeEmbedding):
         ch = denoted_children(Y, p)
         if ch is None:
             return _N(LEAF, meta={"y": p})
-        cv = comb_view(Y, p)
-        if cv is not None:
-            t = comb_view_tail(Y, p)
-            if e1.route(t)[0] == e2.route(t)[0] and e1.image(p) == e2.image(p):
-                return _N(TAIL, cv, meta={"y": p, "yt": t})
+        t = comb_view(Y, p)
+        if t is not None and e1.route(t) == e2.route(t) \
+                and e1.image(p) == e2.image(p):
+            return _N(TAIL, Y.labels[t], meta={"y": p, "yt": t})
         if e1.image(ch[0]) != e2.image(ch[0]):
             return _N(LEAF, meta={"y": p})
         return _N(INTERNAL, kids=[walk(ch[0]), walk(ch[1])], meta={"y": p})
 
     eq, order = _freeze(walk((0, 0)))
-    incl = make_embedding(eq, Y, tuple(n.meta["y"] for n in order),
-                          {n.meta["fid"]: n.meta["yt"]
-                           for n in order if n.kind == TAIL})
-    return eq, incl
+    return eq, _inclusion(eq, order, Y, "y")
 
 
 def same_subtree(m1: TreeEmbedding, m2: TreeEmbedding) -> bool:
@@ -1026,14 +884,14 @@ def c2prime_witness(square: PullbackSquare, u: TreeEmbedding,
     targets: dict[int, int] = {}
     for t in Z.tail_ids:
         if explicit_has_l(t):
-            targets[t] = v.route(t)[0]
+            targets[t] = v.route(t)
             continue
         # an explicit leaf of X mapped onto the continuation switches the
         # route to v from that depth on
         depths = sorted(img[2] for xid, img in enumerate(ix.explicit_images)
                         if X.kinds[xid] == LEAF and img[0] == 1 and img[1] == t)
         switched = any(in_l((1, t, j, 0)) for j in depths)
-        targets[t] = v.route(t)[0] if switched else u.route(t)[0]
+        targets[t] = v.route(t) if switched else u.route(t)
     w = make_embedding(Z, u.cod, images, targets)
     check_embedding(w)
     return w
@@ -1209,14 +1067,17 @@ class ITreeBackend:
         return emb
 
     def object_key(self, obj: FinitaryTree) -> str:
-        def s(n):
-            if n[0] == "leaf":
-                return "L"
-            if n[0] == "tail":
-                return "T(%s)" % n[1]
-            return "(%s %s)" % (s(n[1]), s(n[2]))
+        kinds, children, labels = obj.kinds, obj.children, obj.labels
 
-        return s(to_nested(obj))
+        def s(i):
+            if kinds[i] == LEAF:
+                return "L"
+            if kinds[i] == TAIL:
+                return "T(%s)" % labels[i]
+            a, b = children[i]
+            return "(%s %s)" % (s(a), s(b))
+
+        return s(0)
 
     def morphism_key(self, f: TreeEmbedding) -> str:
         imgs = ";".join("%d:%s" % (i, ",".join(map(str, a)))

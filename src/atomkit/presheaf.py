@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .atoms import AtomMap, FormalAtom
 from .core import (AutGroup, SiteError, aut_group, backend, backend_of,
                    compose, decode_object, encode_object, hom_set, identity,
-                   is_identity, is_iso, morphism_key, object_key,
+                   is_identity, is_int, is_iso, morphism_key, object_key,
                    objects_up_to, pullback, rank, sort_key, subgroup_generated)
 
 
@@ -267,10 +267,22 @@ def encode_fragment(frag: PresheafFragment) -> dict:
             "action": {k: list(v) for k, v in frag.action}}
 
 
+def _table_of(table, ok) -> bool:
+    """Whether a payload table is a JSON object of lists whose items pass ok."""
+    return isinstance(table, dict) and all(
+        isinstance(row, list) and all(map(ok, row)) for row in table.values())
+
+
 def decode_fragment(data: dict) -> PresheafFragment:
     for key in ("objects", "elements", "action"):
         if key not in data:
             raise SiteError("fragment payload needs a %r field" % key)
+    if not isinstance(data["objects"], list):
+        raise SiteError("fragment 'objects' must be a list")
+    if not _table_of(data["elements"], lambda v: isinstance(v, str)):
+        raise SiteError("fragment 'elements' must map keys to lists of names")
+    if not _table_of(data["action"], is_int):
+        raise SiteError("fragment 'action' must map keys to lists of integers")
     objects = tuple(decode_object(row, data.get("site"))
                     for row in data["objects"])
     if not objects:

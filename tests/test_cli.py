@@ -194,3 +194,44 @@ def test_generic_tree_commands_still_take_sets(tmp_path, capsys):
     f = _write(tmp_path, "two.json", encode_object(FinSet(2)))
     assert main(["tree", "embeddings", "--site", "finsetinj", f, f]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 2
+
+
+@pytest.mark.parametrize("command, payload", [
+    (["atoms", "compose"], {"f": "source target rep", "g": 1}),
+    (["atoms", "compose"], {"f": {"source": "base", "target": {}, "rep": {}},
+                            "g": {}}),
+    (["presheaf", "localiso"], {"source": "base", "target": {}, "rep": {}}),
+    (["presheaf", "decompose"], {"objects": [{"size": 1}],
+                                 "elements": ["x"], "action": {}}),
+    (["presheaf", "decompose"], {"objects": 5, "elements": {},
+                                 "action": {}}),
+    (["presheaf", "decompose"], {"objects": [{"size": 1}],
+                                 "elements": {"1": ["x"]},
+                                 "action": {"1>1:0": [False]}}),
+    (["atoms", "make"], {"base": {"size": True}}),
+    (["presheaf", "selfint"], {"dom": 1, "cod": 1, "map": ["0"]}),
+    (["presheaf", "selfint"], {"dom": 1, "cod": True, "map": [0]}),
+    (["presheaf", "selfint"], {"dom": 1, "cod": 2, "map": [False]}),
+])
+def test_mistyped_payload_fields_are_usage_errors(tmp_path, capsys, command,
+                                                  payload):
+    f = _write(tmp_path, "bad.json", payload)
+    assert main(command + [f]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_tree_validate_exit_codes(tmp_path, capsys):
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json", encoding="utf-8")
+    for path in (str(tmp_path / "missing.json"), str(garbled)):
+        assert main(["tree", "validate", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+    bogus = _write(tmp_path, "bogus.json",
+                   {"root": 0, "nodes": [{"id": 0, "kind": "bogus"}]})
+    assert main(["tree", "validate", bogus]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "valid": False, "reason": "node 0 has unknown kind 'bogus'"}

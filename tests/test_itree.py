@@ -11,6 +11,8 @@ from atomkit import (
     Span,
     build,
     compose,
+    decode_object,
+    encode_object,
     enumerate_embeddings,
     enumerate_trees,
     identity,
@@ -227,6 +229,12 @@ def test_regular_mono_equalizers_recover_images_exhaustively():
 def test_subtree_at_reads_back_the_hanging_tree():
     view = subtree_at(T5, (0, 1))
     assert view.tree == T3
+    assert view.from_host == {1: (0, 0), 2: (0, 1), 3: (0, 2)}
+    assert view.tail_map == {}
+    comb = subtree_at(build(node(node(tail("i"), leaf()), leaf())), (0, 1))
+    assert comb.tree == TAIL_I
+    assert comb.from_host == {1: (0, 0), 2: (1, 0, 1, 0), 3: (1, 0, 1, 1)}
+    assert comb.tail_map == {2: 0}
 
 
 def test_c2prime_witness_on_equal_pair():
@@ -260,3 +268,47 @@ def test_enumerate_trees_bound_two_has_thirteen_objects():
     assert len(keys) == 13
     assert "L" in keys and "(T(i) T(j))" in keys
     assert len(set(keys)) == 13
+
+
+def _shuffled(payload, rng):
+    """The same tree under fresh node ids, rows in random order."""
+    fresh = list(range(100, 100 + len(payload["nodes"])))
+    rng.shuffle(fresh)
+    ren = dict(zip(range(len(fresh)), fresh))
+    rows = []
+    for row in payload["nodes"]:
+        row = dict(row, id=ren[row["id"]])
+        if "children" in row:
+            row["children"] = [ren[c] for c in row["children"]]
+        rows.append(row)
+    rng.shuffle(rows)
+    return dict(payload, root=ren[payload["root"]], nodes=rows)
+
+
+def _comb_padded(payload, rng):
+    """Each tail row replaced by a node over that tail and a leaf."""
+    rows, fresh = [], len(payload["nodes"])
+    for row in payload["nodes"]:
+        if row["kind"] != "tail":
+            rows.append(row)
+            continue
+        kids = [fresh, fresh + 1]
+        rng.shuffle(kids)
+        rows += [{"id": row["id"], "kind": "internal", "children": kids},
+                 {"id": fresh, "kind": "tail", "label": row["label"]},
+                 {"id": fresh + 1, "kind": "leaf"}]
+        fresh += 2
+    return dict(payload, nodes=rows)
+
+
+def test_canonical_pipeline_round_trips_every_small_tree():
+    rng = random.Random(4)
+    for t in enumerate_trees(2, 7, ("i", "j")):
+        payload = encode_object(t)
+        assert canonical_form(t) == t
+        assert decode_object(payload) == t
+        assert decode_object(_shuffled(payload, rng)) == t
+        padded = decode_object(_comb_padded(payload, rng))
+        assert (padded == t) == (not t.tail_ids)
+        assert canonical_form(padded) == t
+        assert object_key(canonical_form(padded)) == object_key(t)

@@ -38,6 +38,13 @@ def test_no_function_local_package_imports():
         assert hits == [], path.name
 
 
+def test_trees_are_materialized_in_one_place():
+    calls = [(path.name, line) for path in sorted(SRC.glob("*.py"))
+             for line in path.read_text(encoding="utf-8").splitlines()
+             if re.search(r"\bFinitaryTree\(", line)]
+    assert len(calls) == 1 and calls[0][0] == "itree.py", calls
+
+
 def test_generic_modules_never_compare_a_site_with_a_literal():
     pattern = re.compile(r'(site|tag)\)? ?[!=]= ?"')
     for name in GENERIC:
