@@ -19,7 +19,7 @@ from .audit import (AUDITS, _regular_mono_row, audit_objects, c2prime_chain,
 from .core import (BACKENDS, SiteError, Span, amalgamate, aut_group,
                    canonical_json, decode_morphism, decode_object, group_name,
                    hom_set, identity, morphism_key, object_key, pullback)
-from .itree import FinitaryTree, tree_stats
+from .itree import FinitaryTree, TreeTooDeep, tree_stats
 from .presheaf import (compute_K, decode_fragment, decompose, local_iso_check,
                        self_intersection_check, sheaf_check_quotient,
                        stabilizer, support_element)
@@ -77,6 +77,8 @@ def run_tree_validate(args) -> int:
     data = _load(args.file)
     try:
         t = decode_object(data, args.site)
+    except TreeTooDeep:
+        raise
     except SiteError as exc:
         _emit({"valid": False, "reason": str(exc)}, args)
         return 1

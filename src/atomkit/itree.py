@@ -37,9 +37,18 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, NamedTuple
 
 from .core import (Cocone, PullbackSquare, RankValue, SiteError, Span, compose,
-                   is_iso, object_key, register_backend)
+                   is_int, is_iso, object_key, register_backend)
 
 INTERNAL, LEAF, TAIL = "internal", "leaf", "tail"
+
+# Deepest tree payload accepted, in levels; the recursive tree walks stay
+# well inside Python's default recursion limit below it.
+MAX_TREE_LEVELS = 256
+
+
+class TreeTooDeep(SiteError):
+    """A tree payload deeper than MAX_TREE_LEVELS: a limit of this
+    implementation, not an invalid tree."""
 
 
 @dataclass(frozen=True)
@@ -199,23 +208,29 @@ def validate_tree(data: dict) -> FinitaryTree:
 
 def _validate_tree_mapped(data: dict) -> tuple[FinitaryTree, dict[int, int]]:
     """Parse a node-table payload, renumber preorder, return the id map."""
-    if "nodes" not in data or "root" not in data:
+    if not isinstance(data, dict) or "nodes" not in data or "root" not in data:
         raise SiteError("tree payload needs 'root' and 'nodes' fields")
+    if not isinstance(data["nodes"], list):
+        raise SiteError("tree 'nodes' must be a list")
     table = {}
     for row in data["nodes"]:
-        if "id" not in row or "kind" not in row:
+        if not isinstance(row, dict) or "id" not in row or "kind" not in row:
             raise SiteError("tree node rows need 'id' and 'kind' fields")
+        if not is_int(row["id"]):
+            raise SiteError("node id %r is not an integer" % (row["id"],))
         if row["id"] in table:
             raise SiteError("duplicate node id %r" % row["id"])
         table[row["id"]] = row
     root = data["root"]
-    if root not in table:
-        raise SiteError("root id %r is not a listed node" % root)
+    if not is_int(root) or root not in table:
+        raise SiteError("root id %r is not a listed node" % (root,))
     seen = set()
 
-    def go(old) -> _N:
+    def go(old, level) -> _N:
         if old in seen:
             raise SiteError("node %r has more than one parent" % old)
+        if level > MAX_TREE_LEVELS:
+            raise TreeTooDeep("tree is deeper than %d levels" % MAX_TREE_LEVELS)
         seen.add(old)
         row = table[old]
         kind = row["kind"]
@@ -224,9 +239,10 @@ def _validate_tree_mapped(data: dict) -> tuple[FinitaryTree, dict[int, int]]:
             if not isinstance(ch, list) or len(ch) != 2:
                 raise SiteError("internal node %r needs a 2-element 'children' list" % old)
             for c in ch:
-                if c not in table:
+                if not is_int(c) or c not in table:
                     raise SiteError("child id %r of node %r is not a listed node" % (c, old))
-            return _N(INTERNAL, kids=[go(ch[0]), go(ch[1])], meta={"id": old})
+            return _N(INTERNAL, kids=[go(ch[0], level + 1), go(ch[1], level + 1)],
+                      meta={"id": old})
         if kind in ("leaf", "tail"):
             if row.get("children"):
                 raise SiteError("%s node %r must not have children" % (kind, old))
@@ -238,7 +254,7 @@ def _validate_tree_mapped(data: dict) -> tuple[FinitaryTree, dict[int, int]]:
             return _N(LEAF if kind == "leaf" else TAIL, label, meta={"id": old})
         raise SiteError("node %r has unknown kind %r" % (old, kind))
 
-    tree, order = _freeze(go(root))
+    tree, order = _freeze(go(root, 1))
     if len(seen) != len(table):
         raise SiteError("nodes %s are not reachable from the root"
                         % sorted(set(table) - seen))
@@ -1037,31 +1053,37 @@ class ITreeBackend:
         src, smap = _validate_tree_mapped(data["source"])
         tgt, tmap = _validate_tree_mapped(data["target"])
 
+        def source(key: str, what: str) -> int:
+            try:
+                old = int(key)
+            except ValueError:
+                raise SiteError("%s key %r is not a node id" % (what, key)) from None
+            if old not in smap:
+                raise SiteError("%s listed for unknown source node %r" % (what, old))
+            return smap[old]
+
         def addr(a):
-            if not isinstance(a, list) or not a:
-                raise SiteError("malformed address %r" % (a,))
-            if a[0] == "n":
-                return (0, tmap.get(a[1], -1))
-            if a[0] == "t" and len(a) == 4 and a[3] in ("b", "l"):
-                return (1, tmap.get(a[1], -1), a[2], 0 if a[3] == "b" else 1)
+            if isinstance(a, list) and len(a) >= 2 and is_int(a[1]):
+                if a[0] == "n":
+                    return (0, tmap.get(a[1], -1))
+                if (a[0] == "t" and len(a) == 4 and is_int(a[2])
+                        and a[3] in ("b", "l")):
+                    return (1, tmap.get(a[1], -1), a[2], 0 if a[3] == "b" else 1)
             raise SiteError("malformed address %r" % (a,))
 
+        for key in ("explicit_images", "tail_routes"):
+            if not isinstance(data[key], dict):
+                raise SiteError("embedding %r must be an object" % key)
         images: list = [None] * src.n_nodes
         for key, val in data["explicit_images"].items():
-            old = int(key)
-            if old not in smap:
-                raise SiteError("image listed for unknown source node %r" % old)
-            images[smap[old]] = addr(val)
+            images[source(key, "image")] = addr(val)
         if any(i is None for i in images):
             raise SiteError("explicit_images must cover every source node")
         targets: dict[int, int] = {}
         for key, val in data["tail_routes"].items():
-            old = int(key)
-            if old not in smap:
-                raise SiteError("route listed for unknown source node %r" % old)
-            if "tail" not in val:
-                raise SiteError("tail route rows need a 'tail' field")
-            targets[smap[old]] = tmap.get(val["tail"], -1)
+            if not isinstance(val, dict) or not is_int(val.get("tail")):
+                raise SiteError("tail route rows need an integer 'tail' field")
+            targets[source(key, "route")] = tmap.get(val["tail"], -1)
         emb = make_embedding(src, tgt, tuple(images), targets)
         check_embedding(emb)
         return emb

@@ -410,6 +410,20 @@ def checker_objects(site: str, depth: int, seeds) -> list:
     return backend(site).checker_objects(depth, tuple(seeds))
 
 
+def _equalized_pairs(m, objects):
+    """Every pair alpha, beta: cod(m) => x with m;alpha = m;beta, for x in
+    objects, as (alpha, the betas that agree with it), both in hom-set
+    order; alpha is one of its own betas."""
+    for x in objects:
+        arrows = hom_set(m.cod, x)
+        through = [compose(m, a) for a in arrows]
+        agree: dict = {}
+        for a, ma in zip(arrows, through):
+            agree.setdefault(ma, []).append(a)
+        for a, ma in zip(arrows, through):
+            yield a, agree[ma]
+
+
 # ---------------------------------------------------------------------------
 # the checkers
 
@@ -447,17 +461,12 @@ def sheaf_check_quotient(atom: FormalAtom, q, depth: int) -> CheckVerdict:
     covered = backend(atom.site).pairs_covered(depth, seeds, t_obj, s_obj)
 
     def separated(f) -> bool:
-        for x in objects:
-            arrows = hom_set(t_obj, x)
-            for alpha in arrows:
-                qa = compose(q, alpha)
-                fa = compose(f, alpha)
-                for beta in arrows:
-                    if qa != compose(q, beta):
-                        continue
-                    fb = compose(f, beta)
-                    if not any(fa == compose(s, fb) for s in group):
-                        return True
+        for alpha, betas in _equalized_pairs(q, objects):
+            fa = compose(f, alpha)
+            for beta in betas:
+                fb = compose(f, beta)
+                if not any(fa == compose(s, fb) for s in group):
+                    return True
         return False
 
     for f in t_classes:
@@ -489,16 +498,10 @@ def self_intersection_check(f, depth: int) -> CheckVerdict:
     covered = backend_of(f).pairs_covered(depth, (a_obj, b_obj), b_obj, a_obj)
 
     def excludes(u, hom_y_b) -> bool:
-        for x in objects:
-            arrows = hom_set(b_obj, x)
-            for alpha in arrows:
-                fa = compose(f, alpha)
-                for beta in arrows:
-                    if fa != compose(f, beta):
-                        continue
-                    ub = compose(u, beta)
-                    if not any(ub == compose(v, alpha) for v in hom_y_b):
-                        return True
+        for alpha, betas in _equalized_pairs(f, objects):
+            ua = {compose(v, alpha) for v in hom_y_b}
+            if any(compose(u, beta) not in ua for beta in betas):
+                return True
         return False
 
     checked = 0
@@ -537,47 +540,35 @@ class KResult:
     verdict: CheckVerdict
 
 
-def compute_K(f, depth: int, max_steps: int = 64) -> KResult:
+def compute_K(f, depth: int) -> KResult:
     """Close a mono f: A -> B under the pairs it equalizes.
 
-    While some pair alpha, beta: B => X with f;alpha = f;beta admits no
-    j' with j;beta = j';alpha, replace k by the pullback of j;beta along
-    alpha.  Well-foundedness drives the loop down; the result carries
-    the inclusion j: k -> B, the corestriction of f, and the group of
-    automorphisms of k fixing it.
+    Starting from k = B and j the identity, whenever a pair alpha, beta:
+    B => X with f;alpha = f;beta admits no j' with j;beta = j';alpha,
+    replace k by the pullback of j;beta along alpha.  One pass over the
+    pairs, in checker order, takes the same steps as rescanning from the
+    first pair after every step would: a pair that (k, j) satisfies stays
+    satisfied when k shrinks (precompose its j' with the inclusion), and
+    the step taken for a pair satisfies it (the pullback leg into B is its
+    j').  The result carries the inclusion j: k -> B, the corestriction of
+    f, and the group of automorphisms of k fixing it.
     """
     a_obj, b_obj = f.dom, f.cod
     objects = checker_objects(f.site, depth, (a_obj, b_obj))
     covered = backend_of(f).pairs_covered(depth, (a_obj, b_obj), b_obj, a_obj)
 
     k, j = b_obj, identity(b_obj)
+    hom_k_b = hom_set(k, b_obj)
     steps = []
-
-    def violating_pair():
-        hom_k_b = hom_set(k, b_obj)
-        for x in objects:
-            arrows = hom_set(b_obj, x)
-            for alpha in arrows:
-                fa = compose(f, alpha)
-                ja_targets = [compose(j2, alpha) for j2 in hom_k_b]
-                for beta in arrows:
-                    if fa != compose(f, beta):
-                        continue
-                    if compose(j, beta) not in ja_targets:
-                        return alpha, beta
-        return None
-
-    while True:
-        if len(steps) >= max_steps:
-            raise SiteError("pair closure exceeded %d pullback steps"
-                            % max_steps)
-        pair = violating_pair()
-        if pair is None:
-            break
-        alpha, beta = pair
-        square = pullback(compose(j, beta), alpha)
-        steps.append(square)
-        k, j = square.apex, compose(square.to_left, j)
+    for alpha, betas in _equalized_pairs(f, objects):
+        ja = {compose(j2, alpha) for j2 in hom_k_b}
+        for beta in betas:
+            if compose(j, beta) not in ja:
+                square = pullback(compose(j, beta), alpha)
+                steps.append(square)
+                k, j = square.apex, compose(square.to_left, j)
+                hom_k_b = hom_set(k, b_obj)
+                ja = {compose(j2, alpha) for j2 in hom_k_b}
 
     unit = next((i for i in hom_set(a_obj, k) if compose(i, j) == f), None)
     if unit is None:

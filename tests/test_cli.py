@@ -235,3 +235,46 @@ def test_tree_validate_exit_codes(tmp_path, capsys):
     assert main(["tree", "validate", bogus]) == 1
     assert json.loads(capsys.readouterr().out) == {
         "valid": False, "reason": "node 0 has unknown kind 'bogus'"}
+
+
+def _leaf_in_t3(**fields):
+    payload = encode_morphism(enumerate_embeddings(T1, T3)[0])
+    payload.update(fields)
+    return payload
+
+
+@pytest.mark.parametrize("command, payload", [
+    (["tree", "stats"], {"root": 0, "nodes": [5]}),
+    (["tree", "stats"], {"root": 0, "nodes": [{"id": [1], "kind": "leaf"}]}),
+    (["tree", "stats"], {"root": 0, "nodes": [
+        {"id": 0, "kind": "internal", "children": [[1], 2]},
+        {"id": 1, "kind": "leaf"}, {"id": 2, "kind": "leaf"}]}),
+    (["tree", "regmono"], _leaf_in_t3(explicit_images={"x": ["n", 0]})),
+    (["tree", "regmono"], _leaf_in_t3(explicit_images=[["n", 0]])),
+    (["tree", "regmono"], _leaf_in_t3(tail_routes={"0": 5})),
+    (["tree", "regmono"], _leaf_in_t3(explicit_images={"0": ["n", [0]]})),
+    (["tree", "regmono"], _leaf_in_t3(source="nodes root")),
+])
+def test_misshapen_tree_payloads_are_usage_errors(tmp_path, capsys, command,
+                                                  payload):
+    f = _write(tmp_path, "bad.json", payload)
+    assert main(command + [f]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["validate", "stats"])
+def test_trees_deeper_than_the_limit_are_usage_errors(tmp_path, capsys,
+                                                      command):
+    # 2,000 internal nodes in a chain, each over a leaf: 4,001 nodes.
+    n = 2000
+    nodes = [{"id": k, "kind": "internal",
+              "children": [n + k, k + 1 if k + 1 < n else 2 * n]}
+             for k in range(n)]
+    nodes += [{"id": n + k, "kind": "leaf"} for k in range(n + 1)]
+    f = _write(tmp_path, "chain.json", {"root": 0, "nodes": nodes})
+    assert main(["tree", command, f]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tree is deeper than 256 levels\n"

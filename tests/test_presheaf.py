@@ -13,13 +13,16 @@ from atomkit import (
     atom_identity,
     aut_group,
     audit_objects,
+    backend,
     build,
     checker_objects,
+    compose,
     compute_K,
     decode_fragment,
     decompose,
     encode_fragment,
     enumerate_embeddings,
+    enumerate_trees,
     fragment_from_tables,
     group_name,
     hom_set,
@@ -31,6 +34,7 @@ from atomkit import (
     node,
     object_key,
     ordered_pairs_fragment,
+    pullback,
     quotient_classes,
     quotient_fragment,
     representable_fragment,
@@ -42,7 +46,7 @@ from atomkit import (
     unordered_pairs_fragment,
 )
 from atomkit.atoms import AtomMap
-from atomkit.presheaf import ClosureError
+from atomkit.presheaf import ClosureError, _equalized_pairs
 
 T1 = build(leaf())
 T3 = build(node(leaf(), leaf()))
@@ -208,6 +212,69 @@ def test_compute_K_identity():
     res = compute_K(identity(FinSet(2)), 3)
     assert res.k == FinSet(2)
     assert group_name(res.group) == "triv"
+
+
+def _reference_violating_pair(f, k, j, objects):
+    hom_k_b = hom_set(k, f.cod)
+    for x in objects:
+        arrows = hom_set(f.cod, x)
+        through = [compose(f, beta) for beta in arrows]
+        for alpha, fa in zip(arrows, through):
+            ja = [compose(j2, alpha) for j2 in hom_k_b]
+            for beta, fb in zip(arrows, through):
+                if fa == fb and compose(j, beta) not in ja:
+                    return alpha, beta
+    return None
+
+
+def _reference_compute_K(f, depth):
+    """compute_K as a plain double loop over the pairs that rescans from
+    the first test object after every pullback step."""
+    a_obj, b_obj = f.dom, f.cod
+    objects = checker_objects(f.site, depth, (a_obj, b_obj))
+    k, j, apexes = b_obj, identity(b_obj), []
+    while (pair := _reference_violating_pair(f, k, j, objects)) is not None:
+        alpha, beta = pair
+        square = pullback(compose(j, beta), alpha)
+        apexes.append(object_key(square.apex))
+        k, j = square.apex, compose(square.to_left, j)
+    unit = next(i for i in hom_set(a_obj, k) if compose(i, j) == f)
+    fixing = [s for s in aut_group(k).elements if compose(unit, s) == unit]
+    covered = backend(f.site).pairs_covered(depth, (a_obj, b_obj), b_obj,
+                                            a_obj)
+    verdict = ("pass" if covered else "unknown",
+               {"steps": len(apexes), "pair_bound_exhaustive": covered}, depth)
+    return apexes, k, j, unit, len(fixing), verdict
+
+
+@pytest.mark.parametrize("monos, depth", [
+    ([f for n in range(4) for m in range(n + 1)
+      for f in hom_set(FinSet(m), FinSet(n))], 2),
+    ([f for a in enumerate_trees(1, 3, ("i",))
+      for b in enumerate_trees(1, 3, ("i",)) for f in hom_set(a, b)], 2),
+])
+def test_compute_K_single_pass_matches_the_rescanning_reference(monos, depth):
+    for f in monos:
+        res = compute_K(f, depth)
+        got = ([object_key(sq.apex) for sq in res.steps], res.k, res.j,
+               res.unit, res.group.order,
+               (res.verdict.status, res.verdict.witness,
+                res.verdict.depth_used))
+        assert got == _reference_compute_K(f, depth)
+
+
+def test_equalized_pairs_is_the_brute_force_pair_scan():
+    monos = [make_injection(0, 2, ()), make_injection(1, 3, (2,)),
+             make_injection(2, 3, (0, 2)), identity(FinSet(2)),
+             enumerate_embeddings(T1, T3)[0], identity(T3)]
+    for m in monos:
+        objects = checker_objects(m.site, 2, (m.dom, m.cod))
+        scan = [(alpha, beta) for alpha, betas in _equalized_pairs(m, objects)
+                for beta in betas]
+        brute = [(alpha, beta) for x in objects
+                 for alpha in hom_set(m.cod, x) for beta in hom_set(m.cod, x)
+                 if compose(m, alpha) == compose(m, beta)]
+        assert scan == brute
 
 
 def test_compute_K_quotient_counts_match_the_source_representable():
