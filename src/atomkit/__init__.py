@@ -14,15 +14,13 @@ from .atoms import (AtomMap, CoeqTrace, FormalAtom, atom_compose, atom_hom,
                     atom_identity, atom_iso_formal, coequalize_representables,
                     decode_atom, encode_atom, make_atom, rep_is_valid)
 from .audit import (AuditReport, atom_chain, audit_c1, audit_c2prime,
-                    audit_c3, audit_c4, audit_objects, c2prime_chain,
-                    extend_parallel_pair)
+                    audit_c3, audit_c4, c2prime_chain, extend_parallel_pair)
 from .core import (AutGroup, Cocone, Cospan, PullbackSquare, RankValue,
                    SiteError, Span, amalgamate, aut_group, backend,
                    canonical_json, compose, decode_morphism, decode_object,
                    encode_morphism, encode_object, group_name, hom_set,
                    identity, inverse, is_identity, is_iso, morphism_key,
-                   object_key, objects_up_to, pullback, pullback_is_universal,
-                   rank, sort_key, subgroup_generated)
+                   object_key, pullback, rank, sort_key, subgroup_generated)
 from .finsetinj import FinSet, Injection, make_injection
 from .itree import (FinitaryTree, TreeEmbedding, build, enumerate_embeddings,
                     enumerate_trees, identity_embedding, leaf, make_embedding,

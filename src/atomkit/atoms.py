@@ -154,8 +154,10 @@ def decode_atom(data: dict, site: str | None = None) -> FormalAtom:
     if "base" not in data:
         raise SiteError("atom payload needs a 'base' field")
     base = decode_object(data["base"], site)
-    gens = tuple(decode_morphism(row, base.site)
-                 for row in data.get("generators", ()))
+    rows = data.get("generators", [])
+    if not isinstance(rows, list):
+        raise SiteError("atom 'generators' must be a list")
+    gens = tuple(decode_morphism(row, base.site) for row in rows)
     for g in gens:
         if g.dom != base or g.cod != base:
             raise SiteError("atom generator is not an endomorphism of the base")
@@ -169,8 +171,10 @@ def decode_atom(data: dict, site: str | None = None) -> FormalAtom:
 class CoeqTrace:
     """The run of the pullback iteration and its resulting atom.
 
-    quotient_rep runs result.base -> alpha.dom and represents the
-    quotient map from the atom at the pair's domain onto the result.
+    sigma is the mismatch of the final invertible pair, first then the
+    inverse of second.  quotient_rep runs result.base -> alpha.dom and
+    represents the quotient map from the atom at the pair's domain onto
+    the result.
     """
 
     alpha: object
@@ -179,12 +183,6 @@ class CoeqTrace:
     result: FormalAtom
     sigma: object
     quotient_rep: object
-
-    @property
-    def terminal_automorphism(self):
-        """The mismatch of the final invertible pair, first then
-        inverse of second."""
-        return self.sigma
 
     def quotient_map(self, variant: str = "derived") -> AtomMap:
         src = FormalAtom(self.alpha.dom, subgroup_generated(self.alpha.dom, ()))

@@ -14,9 +14,8 @@ import sys
 from .atoms import (AtomMap, FormalAtom, atom_compose, atom_hom,
                     atom_iso_formal, coequalize_representables, decode_atom,
                     make_atom)
-from .audit import (AUDITS, _regular_mono_row, audit_objects, c2prime_chain,
-                    verify_chain)
-from .core import (BACKENDS, SiteError, Span, amalgamate, aut_group,
+from .audit import AUDITS, _regular_mono_row, c2prime_chain, verify_chain
+from .core import (BACKENDS, SiteError, Span, amalgamate, aut_group, backend,
                    canonical_json, decode_morphism, decode_object, group_name,
                    hom_set, identity, morphism_key, object_key, pullback)
 from .itree import FinitaryTree, TreeTooDeep, tree_stats
@@ -292,7 +291,7 @@ def run_presheaf_computek(args) -> int:
 def run_presheaf_localiso(args) -> int:
     payload = _load(args.file)
     m = _decode_atom_map(payload, args.site, args.variant)
-    context = audit_objects(m.source.site, args.bound)
+    context = backend(m.source.site).objects_up_to(args.bound)
     verdict = local_iso_check(m, context, args.depth)
     _emit(_verdict_payload(verdict), args)
     return _verdict_exit(verdict)

@@ -101,17 +101,14 @@ class AutGroup:
     """A subgroup of Aut(obj), stored as the full sorted element tuple.
 
     Equality and hashing ignore the generating set, two values with the
-    same closure are the same group.
+    same closure are the same group.  The constructor trusts its
+    arguments; aut_group and subgroup_generated (which checks its
+    generators) build every group.
     """
 
     obj: Any
     elements: tuple
     generators: tuple = field(default=(), compare=False)
-
-    def __post_init__(self):
-        for g in self.elements:
-            if g.dom != self.obj or g.cod != self.obj:
-                raise SiteError("group element is not an endomorphism of the base")
 
     @property
     def order(self) -> int:
@@ -127,7 +124,8 @@ class AutGroup:
 class Site(Protocol):
     """What a site backend provides (declaration only, never checked).
     Its objects and morphisms carry the tag as their site attribute; the
-    marker fields identify untagged object and morphism payloads."""
+    marker fields identify untagged object and morphism payloads;
+    objects_up_to(bound) lists the audit pool in canonical order."""
 
     tag: str
     object_marker: str
@@ -138,7 +136,7 @@ class Site(Protocol):
     def rank(self, obj) -> RankValue: ...
     def pullback(self, f, g) -> PullbackSquare: ...
     def amalgamate(self, span: Span) -> Cocone: ...
-    def objects_up_to(self, bound: int, labels=()) -> list: ...
+    def objects_up_to(self, bound: int) -> list: ...
     def chain_domains(self, base) -> list: ...
     def checker_objects(self, depth: int, seeds) -> list: ...
     def pairs_covered(self, depth: int, seeds, tgt, shared) -> bool: ...
@@ -273,34 +271,6 @@ def group_name(group: AutGroup) -> str:
     if group.order == full.order:
         return backend_of(group.obj).full_group_name(group.obj)
     return "order%d" % group.order
-
-
-def objects_up_to(tag: str, bound: int, labels: tuple[str, ...] = ()) -> list:
-    """Bounded object enumeration for audits, in canonical order."""
-    return backend(tag).objects_up_to(bound, labels)
-
-
-def pullback_is_universal(square: PullbackSquare, test_objects: Iterable) -> bool:
-    """Check the limit property of the square against a family of test objects.
-
-    For every cone (p, q) from a test object there must be exactly one
-    mediating morphism into the apex.
-    """
-    for w in test_objects:
-        homs_a = hom_set(w, square.left.dom)
-        homs_b = hom_set(w, square.right.dom)
-        mediators = hom_set(w, square.apex)
-        for p in homs_a:
-            pf = compose(p, square.left)
-            for q in homs_b:
-                if pf != compose(q, square.right):
-                    continue
-                hits = [m for m in mediators
-                        if compose(m, square.to_left) == p
-                        and compose(m, square.to_right) == q]
-                if len(hits) != 1:
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -27,20 +27,14 @@ class FinSet:
 
 @dataclass(frozen=True)
 class Injection:
+    """The injection dom -> cod sending i to map[i].  The constructor
+    trusts its arguments; make_injection is the checked one."""
+
     dom: FinSet
     cod: FinSet
     map: tuple[int, ...]
 
     site: ClassVar[str] = "finsetinj"
-
-    def __post_init__(self):
-        if len(self.map) != self.dom.size:
-            raise SiteError("map length %d does not match domain size %d"
-                            % (len(self.map), self.dom.size))
-        if any(not 0 <= v < self.cod.size for v in self.map):
-            raise SiteError("map value out of codomain range")
-        if len(set(self.map)) != len(self.map):
-            raise SiteError("map is not injective")
 
     def __call__(self, i: int) -> int:
         return self.map[i]
@@ -53,7 +47,17 @@ class Injection:
 
 
 def make_injection(dom_size: int, cod_size: int, values) -> Injection:
-    return Injection(FinSet(dom_size), FinSet(cod_size), tuple(values))
+    """The injection with these values, checked in length, range and
+    injectivity."""
+    dom, cod, values = FinSet(dom_size), FinSet(cod_size), tuple(values)
+    if len(values) != dom.size:
+        raise SiteError("map length %d does not match domain size %d"
+                        % (len(values), dom.size))
+    if any(not 0 <= v < cod.size for v in values):
+        raise SiteError("map value out of codomain range")
+    if len(set(values)) != len(values):
+        raise SiteError("map is not injective")
+    return Injection(dom, cod, values)
 
 
 def complement_positions(f: Injection) -> tuple[int, ...]:
@@ -105,7 +109,7 @@ class FinSetInjBackend:
         from_right = Injection(g.cod, obj, tuple(values))
         return Cocone(obj, from_left, from_right)
 
-    def objects_up_to(self, bound: int, labels=()) -> list[FinSet]:
+    def objects_up_to(self, bound: int) -> list[FinSet]:
         """The sets of size at most bound."""
         return [FinSet(k) for k in range(bound + 1)]
 

@@ -25,7 +25,7 @@ from .atoms import AtomMap, FormalAtom
 from .core import (AutGroup, SiteError, aut_group, backend, backend_of,
                    compose, decode_object, encode_object, hom_set, identity,
                    is_identity, is_int, is_iso, morphism_key, object_key,
-                   objects_up_to, pullback, rank, sort_key, subgroup_generated)
+                   pullback, rank, sort_key, subgroup_generated)
 
 
 class ClosureError(SiteError):
@@ -244,7 +244,7 @@ def quotient_fragment(atom: FormalAtom, objects) -> PresheafFragment:
 
 def unordered_pairs_fragment(max_size: int = 3) -> PresheafFragment:
     """Nonempty subsets of size at most two of each finite set."""
-    return _tabulate("finsetinj", objects_up_to("finsetinj", max_size),
+    return _tabulate("finsetinj", backend("finsetinj").objects_up_to(max_size),
                      lambda x: [s for k in (1, 2) for s in
                                 itertools.combinations(range(x.size), k)],
                      lambda s: "{%s}" % ",".join(map(str, s)),
@@ -253,7 +253,7 @@ def unordered_pairs_fragment(max_size: int = 3) -> PresheafFragment:
 
 def ordered_pairs_fragment(max_size: int = 3) -> PresheafFragment:
     """All pairs (a, b) of each finite set, acted on coordinatewise."""
-    return _tabulate("finsetinj", objects_up_to("finsetinj", max_size),
+    return _tabulate("finsetinj", backend("finsetinj").objects_up_to(max_size),
                      lambda x: [(i, j) for i in range(x.size)
                                 for j in range(x.size)],
                      lambda p: "(%d,%d)" % p,

@@ -1,0 +1,93 @@
+"""Checks that only tests need.
+
+pullback_is_universal tests the limit property of a pullback square
+against test objects.  tree_table_problems and injection_problems
+restate the shape invariants that the FinitaryTree and Injection
+constructors do not check, so tests can hold every value the library
+assembles to them.
+"""
+
+from atomkit import compose, hom_set
+from atomkit.itree import INTERNAL, LEAF, TAIL
+
+
+def pullback_is_universal(square, test_objects) -> bool:
+    """Check the limit property of the square against a family of test objects.
+
+    For every cone (p, q) from a test object there must be exactly one
+    mediating morphism into the apex.
+    """
+    for w in test_objects:
+        homs_a = hom_set(w, square.left.dom)
+        homs_b = hom_set(w, square.right.dom)
+        mediators = hom_set(w, square.apex)
+        for p in homs_a:
+            pf = compose(p, square.left)
+            for q in homs_b:
+                if pf != compose(q, square.right):
+                    continue
+                hits = [m for m in mediators
+                        if compose(m, square.to_left) == p
+                        and compose(m, square.to_right) == q]
+                if len(hits) != 1:
+                    return False
+    return True
+
+
+def tree_table_problems(tree) -> list[str]:
+    """Every way the node table breaks the tree invariants: a root at 0,
+    equal-length fields, binary internal nodes without labels, childless
+    leaves and tails with a label exactly on tails, one parent per node,
+    and every node reachable from the root."""
+    n = len(tree.kinds)
+    if n == 0:
+        return ["no root node"]
+    if len(tree.children) != n or len(tree.labels) != n:
+        return ["node table fields have mismatched lengths"]
+    problems, parents = [], {}
+    for i, kind in enumerate(tree.kinds):
+        ch, label = tree.children[i], tree.labels[i]
+        if kind == INTERNAL:
+            if ch is None or len(ch) != 2:
+                problems.append("internal node %d is not binary" % i)
+                continue
+            if label is not None:
+                problems.append("internal node %d carries a label" % i)
+            for c in ch:
+                if not 0 <= c < n or c == 0 or c in parents:
+                    problems.append("child %r of node %d is out of range or "
+                                    "has two parents" % (c, i))
+                parents[c] = i
+        elif kind in (LEAF, TAIL):
+            if ch is not None:
+                problems.append("%s node %d has children" % (kind, i))
+            if (label is not None) != (kind == TAIL) or \
+                    (label is not None and not isinstance(label, str)):
+                problems.append("node %d: labels belong to tail nodes only"
+                                % i)
+        else:
+            problems.append("node %d has unknown kind %r" % (i, kind))
+    if not problems:
+        reached, todo = {0}, [0]
+        while todo:
+            for c in tree.children[todo.pop()] or ():
+                reached.add(c)
+                todo.append(c)
+        if len(reached) != n:
+            problems.append("nodes %s are unreachable"
+                            % sorted(set(range(n)) - reached))
+    return problems
+
+
+def injection_problems(f) -> list[str]:
+    """Every way f breaks the injection shape: one value per domain
+    point, values inside the codomain, no value twice."""
+    problems = []
+    if len(f.map) != f.dom.size:
+        problems.append("map length %d differs from domain size %d"
+                        % (len(f.map), f.dom.size))
+    if any(not 0 <= v < f.cod.size for v in f.map):
+        problems.append("map value out of codomain range")
+    if len(set(f.map)) != len(f.map):
+        problems.append("map is not injective")
+    return problems

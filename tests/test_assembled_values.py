@@ -1,0 +1,81 @@
+"""Every value the library assembles keeps the invariants that the
+FinitaryTree and Injection constructors trust instead of checking: the
+tree-table and injection-shape checks of checks.py, and check_embedding
+for tree embeddings."""
+
+import pytest
+
+from atomkit import (FinitaryTree, FinSet, Injection, SiteError, Span,
+                     amalgamate, backend, build, compose, hom_set, leaf, node,
+                     pullback, tail)
+from atomkit.itree import (canonical_form, check_embedding,
+                           regular_mono_witness, subtree_at)
+
+from checks import injection_problems, tree_table_problems
+
+BOUND = 2
+
+
+def _problems(value) -> list:
+    if isinstance(value, FinitaryTree):
+        return tree_table_problems(value)
+    if isinstance(value, FinSet):
+        return []  # FinSet still checks its size
+    if isinstance(value, Injection):
+        return injection_problems(value)
+    found = tree_table_problems(value.dom) + tree_table_problems(value.cod)
+    if not found:
+        try:
+            check_embedding(value)
+        except SiteError as exc:
+            found.append(str(exc))
+    return found
+
+
+def _assembled(pool) -> list:
+    """hom_set, then (through compose), pullback and amalgamate over the
+    pool, with every value each of them returns."""
+    arrows = [f for a in pool for b in pool for f in hom_set(a, b)]
+    made = list(arrows)
+    for f in arrows:
+        for g in arrows:
+            if f.cod == g.dom:
+                made.append(compose(f, g))
+            if f.cod == g.cod:
+                sq = pullback(f, g)
+                made += [sq.apex, sq.to_left, sq.to_right]
+            if f.dom == g.dom:
+                cone = amalgamate(Span(f, g))
+                made += [cone.obj, cone.from_left, cone.from_right]
+    return made
+
+
+def _tree_only(pool) -> list:
+    """canonical_form (also of comb-padded encodings), subtree_at at every
+    explicit node and first comb step, and regular_mono_witness."""
+    padded = [build(node(tail("i"), leaf())),
+              build(node(leaf(), node(leaf(), tail("j"))))]
+    made = []
+    for t in pool + padded:
+        made.append(canonical_form(t))
+        addrs = [(0, i) for i in range(t.n_nodes)]
+        addrs += [(1, tid, 1, side) for tid in t.tail_ids for side in (0, 1)]
+        made += [subtree_at(t, a).tree for a in addrs]
+    for a in pool:
+        for b in pool:
+            for m in hom_set(a, b):
+                made += list(regular_mono_witness(m))
+    return made
+
+
+@pytest.mark.parametrize("site", ["finsetinj", "itree"])
+def test_assembled_values_keep_the_constructor_invariants(site):
+    pool = backend(site).objects_up_to(BOUND)
+    made = _assembled(pool)
+    if site == "itree":
+        made += _tree_only(pool)
+        made += [canonical_form(v) for v in made
+                 if isinstance(v, FinitaryTree)]
+    assert len(made) > len(pool)
+    bad = [(v, p) for v in made for p in _problems(v)]
+    assert bad == []

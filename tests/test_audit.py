@@ -12,8 +12,8 @@ from atomkit import (
     audit_c2prime,
     audit_c3,
     audit_c4,
-    audit_objects,
     aut_group,
+    backend,
     build,
     compose,
     enumerate_embeddings,
@@ -26,17 +26,27 @@ from atomkit import (
     object_key,
     pullback,
     rank,
+    tail,
     tree_stats,
 )
 from atomkit.audit import c2prime_chain, verify_chain
 
 
 def test_audit_objects_counts():
-    assert [o.size for o in audit_objects("finsetinj", 3)] == [0, 1, 2, 3]
-    trees = audit_objects("itree", 2)
+    assert [o.size for o in backend("finsetinj").objects_up_to(3)] \
+        == [0, 1, 2, 3]
+    trees = backend("itree").objects_up_to(2)
     assert len(trees) == 13
     with pytest.raises(SiteError):
-        audit_objects("nosuch", 2)
+        backend("nosuch").objects_up_to(2)
+
+
+def test_c3_chain_steps_between_isomorphic_trees_are_repeats():
+    padded_tail = build(node(leaf(), tail("i")))
+    report = audit_c3("itree", chains=[[padded_tail, build(tail("i"))]])
+    (row,) = report.to_json()["verdicts"]
+    assert row["status"] == "pass"
+    assert row["witness"]["steps"] == ["repeat"]
 
 
 def test_finsetinj_audits_all_pass():
@@ -141,7 +151,7 @@ def test_atom_chain_steps_descend():
 
 
 def test_atom_chain_respects_the_rank_budget():
-    for base in audit_objects("itree", 2):
+    for base in backend("itree").objects_up_to(2):
         stats = tree_stats(base)
         budget = stats.branch_count + stats.f_count + len(aut_group(base).elements)
         chain = atom_chain(make_atom(base))

@@ -212,6 +212,7 @@ def test_generic_tree_commands_still_take_sets(tmp_path, capsys):
     (["presheaf", "selfint"], {"dom": 1, "cod": 1, "map": ["0"]}),
     (["presheaf", "selfint"], {"dom": 1, "cod": True, "map": [0]}),
     (["presheaf", "selfint"], {"dom": 1, "cod": 2, "map": [False]}),
+    (["atoms", "make"], {"base": {"size": 2}, "generators": 5}),
 ])
 def test_mistyped_payload_fields_are_usage_errors(tmp_path, capsys, command,
                                                   payload):

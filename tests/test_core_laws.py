@@ -30,12 +30,13 @@ from atomkit import (
     node,
     object_key,
     pullback,
-    pullback_is_universal,
     rank,
     subgroup_generated,
     tail,
 )
 from atomkit.core import RankValue
+
+from checks import pullback_is_universal
 
 
 def test_compose_is_diagrammatic():

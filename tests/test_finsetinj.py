@@ -12,11 +12,11 @@ from atomkit import (
     Span,
     amalgamate,
     aut_group,
+    backend,
     compose,
     hom_set,
     is_iso,
     make_injection,
-    objects_up_to,
     pullback,
 )
 from atomkit.finsetinj import complement_positions
@@ -25,10 +25,15 @@ from atomkit.finsetinj import complement_positions
 def test_make_injection_validates():
     assert make_injection(1, 2, (0,)).map == (0,)
     assert make_injection(0, 3, ()).map == ()
-    with pytest.raises(SiteError):
+    with pytest.raises(SiteError, match="^map is not injective$"):
         make_injection(2, 2, (1, 1))
-    with pytest.raises(SiteError):
+    with pytest.raises(SiteError, match="^map value out of codomain range$"):
         make_injection(1, 2, (2,))
+    with pytest.raises(SiteError, match="^map length 1 does not match "
+                                        "domain size 2$"):
+        make_injection(2, 2, (3,))
+    with pytest.raises(SiteError, match="natural number"):
+        make_injection(-1, 2, ())
 
 
 def test_hom_set_counts_are_falling_factorials():
@@ -50,7 +55,7 @@ def test_complement_positions():
 
 
 def test_objects_up_to():
-    assert objects_up_to("finsetinj", 3) == [FinSet(i) for i in range(4)]
+    assert backend("finsetinj").objects_up_to(3) == [FinSet(i) for i in range(4)]
 
 
 def test_pullback_is_image_intersection():

@@ -21,7 +21,6 @@ from atomkit import (
     node,
     object_key,
     pullback,
-    pullback_is_universal,
     rank,
     tail,
     tree_stats,
@@ -37,6 +36,7 @@ from atomkit.itree import (
     tree_amalgamate,
 )
 
+from checks import pullback_is_universal
 from oracles import count_embeddings_by_filter
 
 T1 = build(leaf())
@@ -85,6 +85,11 @@ def test_validate_tree_rejects_unreachable_and_cyclic_nodes():
 def test_validate_tree_rejects_unlabeled_tail():
     with pytest.raises(SiteError):
         validate_tree(_tree_payload([{"id": 0, "kind": "tail"}]))
+
+
+def test_build_rejects_an_unlabeled_tail():
+    with pytest.raises(SiteError):
+        build(node(leaf(), ("tail", None)))
 
 
 def test_canonical_form_collapses_redundant_combs():
