@@ -43,6 +43,19 @@ class AuditReport:
                              for k, v in self.verdicts]}
 
 
+def _hom_memo():
+    """hom_set, memoised per (dom, cod) for the audit call that made it:
+    the memo lives as long as that call, so nothing outlives it."""
+    memo: dict = {}
+
+    def homs(a, b) -> list:
+        if (a, b) not in memo:
+            memo[a, b] = hom_set(a, b)
+        return memo[a, b]
+
+    return homs
+
+
 # ---------------------------------------------------------------------------
 # C1: amalgamation and regular monomorphisms
 
@@ -54,12 +67,13 @@ def _regular_mono_row(m, bound: int = 0) -> CheckVerdict:
 def audit_c1(site: str, bound: int) -> AuditReport:
     """Every span within bound amalgamates; every mono is regular."""
     objects = backend(site).objects_up_to(bound)
+    homs = _hom_memo()
     rows = []
     for a in objects:
         for b in objects:
-            for f in hom_set(a, b):
+            for f in homs(a, b):
                 for x in objects:
-                    for g in hom_set(a, x):
+                    for g in homs(a, x):
                         key = "span|%s|%s" % (morphism_key(f), morphism_key(g))
                         cone = amalgamate(Span(f, g))
                         good = (compose(f, cone.from_left)
@@ -69,7 +83,7 @@ def audit_c1(site: str, bound: int) -> AuditReport:
                             {"cocone": object_key(cone.obj)}, bound)))
     for a in objects:
         for b in objects:
-            for m in hom_set(a, b):
+            for m in homs(a, b):
                 rows.append(("regmono|%s" % morphism_key(m),
                              _regular_mono_row(m, bound)))
     return AuditReport("C1", bound, tuple(rows))
@@ -113,15 +127,16 @@ def audit_c2prime(site: str, bound: int) -> AuditReport:
     """For every pullback square and agreeing pair within bound, build
     and verify a zig-zag chain."""
     objects = backend(site).objects_up_to(bound)
+    homs = _hom_memo()
     rows = []
     for z in objects:
-        legs = [(x, m) for x in objects for m in hom_set(x, z)]
+        legs = [(x, m) for x in objects for m in homs(x, z)]
         for x, f in legs:
             for y, g in legs:
                 square = pullback(f, g)
                 meet = compose(square.to_left, f)
                 for a in objects:
-                    arrows = hom_set(z, a)
+                    arrows = homs(z, a)
                     for u in arrows:
                         mu = compose(meet, u)
                         for v in arrows:
@@ -194,7 +209,7 @@ def audit_c4(site: str, bound: int) -> AuditReport:
     rows = []
     for x in backend(site).objects_up_to(bound):
         grp = aut_group(x)
-        closed = all(compose(s, t) in grp.elements
+        closed = all(compose(s, t) in grp
                      for s in grp.elements for t in grp.elements)
         rows.append(("aut|%s" % object_key(x), CheckVerdict(
             "pass" if closed else "fail", {"order": grp.order}, bound)))

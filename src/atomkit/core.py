@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Protocol
 
 
@@ -114,8 +115,14 @@ class AutGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def members(self) -> frozenset:
+        """The elements as a set, for membership tests; not a field, so
+        equality and hashing ignore it."""
+        return frozenset(self.elements)
+
     def __contains__(self, f) -> bool:
-        return f in set(self.elements)
+        return f in self.members
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +239,24 @@ def sort_key(f):
 
 
 def aut_group(obj) -> AutGroup:
-    """The full automorphism group of obj."""
-    els = tuple(sorted((g for g in hom_set(obj, obj) if is_iso(g)), key=sort_key))
+    """The full automorphism group of obj: all of hom_set(obj, obj), in
+    its canonical order, which is sort_key order on both sites.
+
+    Every endomorphism is invertible on both shipped sites, so no arrow
+    needs an is_iso test (subgroup_generated relies on the same fact):
+
+    - finsetinj: an injection of a finite set into itself is a bijection.
+    - itree: an embedding f: X -> X preserves the root and the parent
+      relation, so it maps each level of the denoted tree into the same
+      level.  Every level is finite (the explicit nodes plus two nodes per
+      tail) and f is injective, so f is a bijection on every level, hence
+      on the denoted nodes.  Its inverse preserves the root and the parent
+      relation too (f(x) = parent(f(y)) gives x = parent(y), as f is
+      injective and preserves parents), so it sends branches onto branches;
+      f preserves branch labels and is a bijection on branches, so the
+      inverse preserves them as well.  The inverse is an embedding.
+    """
+    els = tuple(hom_set(obj, obj))
     return AutGroup(obj, els, els)
 
 

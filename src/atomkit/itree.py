@@ -34,6 +34,7 @@ landed, _inclusion sends each node back to its recorded position.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, ClassVar, NamedTuple
 
 from .core import (Cocone, PullbackSquare, RankValue, SiteError, Span, compose,
@@ -56,7 +57,18 @@ class TreeTooDeep(SiteError):
 class FinitaryTree:
     """Explicit encoding, node ids 0..n-1 with the root at 0.  The
     constructor trusts its arguments: only _freeze calls it, on scratch
-    trees that validate_tree or build checked or the library assembled."""
+    trees that validate_tree or build checked or the library assembled.
+
+    _freeze also stores the per-tree indices on the value, as attributes
+    outside the fields (equality and repr ignore them):
+
+        parents   the parent id of each node, None at the root
+        tail_ids  the ids of the tail markers, ascending
+        paths     tail id -> explicit ids from the root down to the tail
+        key       the object_key string
+
+    and the hash of the fields, which __hash__ returns.
+    """
 
     kinds: tuple[str, ...]
     children: tuple[tuple[int, int] | None, ...]
@@ -68,9 +80,8 @@ class FinitaryTree:
     def n_nodes(self) -> int:
         return len(self.kinds)
 
-    @property
-    def tail_ids(self) -> tuple[int, ...]:
-        return tuple(i for i, k in enumerate(self.kinds) if k == TAIL)
+    def __hash__(self) -> int:
+        return self._hash
 
 
 class TreeStats(NamedTuple):
@@ -93,21 +104,36 @@ class _N:
 
 
 def _freeze(root: _N) -> tuple[FinitaryTree, list[_N]]:
-    """Number a scratch tree in preorder; order[i] became node i."""
-    kinds, children, labels, order = [], [], [], []
+    """Number a scratch tree in preorder; order[i] became node i.  The
+    same walk builds every per-tree index the value carries."""
+    kinds, children, labels, parents, order = [], [], [], [], []
+    paths: dict[int, tuple[int, ...]] = {}
 
-    def go(n):
+    def go(n, above: tuple[int, ...]) -> str:
         idx = len(kinds)
         order.append(n)
         kinds.append(n.kind), children.append(None), labels.append(n.label)
-        if n.kind == INTERNAL:
-            a = go(n.kids[0])
-            b = go(n.kids[1])
-            children[idx] = (a, b)
-        return idx
+        parents.append(above[-1] if above else None)
+        here = above + (idx,)
+        if n.kind == LEAF:
+            return "L"
+        if n.kind == TAIL:
+            paths[idx] = here
+            return "T(%s)" % n.label
+        a = len(kinds)
+        ka = go(n.kids[0], here)
+        b = len(kinds)
+        kb = go(n.kids[1], here)
+        children[idx] = (a, b)
+        return "(%s %s)" % (ka, kb)
 
-    go(root)
-    return FinitaryTree(tuple(kinds), tuple(children), tuple(labels)), order
+    key = go(root, ())
+    fields = (tuple(kinds), tuple(children), tuple(labels))
+    tree = FinitaryTree(*fields)
+    for name, value in (("parents", tuple(parents)), ("tail_ids", tuple(paths)),
+                        ("paths", paths), ("key", key), ("_hash", hash(fields))):
+        object.__setattr__(tree, name, value)
+    return tree, order
 
 
 def _copy(tree: FinitaryTree, nid: int = 0) -> _N:
@@ -230,14 +256,6 @@ def _validate_tree_mapped(data: dict) -> tuple[FinitaryTree, dict[int, int]]:
 # ---------------------------------------------------------------------------
 # explicit-part combinatorics
 
-def parent_map(tree: FinitaryTree) -> tuple[int | None, ...]:
-    parents: list[int | None] = [None] * tree.n_nodes
-    for i, ch in enumerate(tree.children):
-        for c in ch or ():
-            parents[c] = i
-    return tuple(parents)
-
-
 def on_branch_set(tree: FinitaryTree) -> frozenset[int]:
     """Explicit nodes lying on a branch: a tail marker among descendants or self."""
     on: set[int] = set()
@@ -264,7 +282,7 @@ def tree_stats(tree: FinitaryTree) -> TreeStats:
     """Branch count, count of nodes under an off-branch parent, and the rank."""
     branches = len(tree.tail_ids)
     on = on_branch_set(tree)
-    parents = parent_map(tree)
+    parents = tree.parents
     f_count = 0
     for i in range(tree.n_nodes):
         p = parents[i]
@@ -273,18 +291,9 @@ def tree_stats(tree: FinitaryTree) -> TreeStats:
     return TreeStats(branches, f_count, RankValue((branches, f_count)))
 
 
-def branch_path(tree: FinitaryTree, tail_id: int) -> tuple[int, ...]:
-    """Explicit ids from the root down to the tail marker."""
-    parents = parent_map(tree)
-    path = [tail_id]
-    while parents[path[-1]] is not None:
-        path.append(parents[path[-1]])
-    return tuple(reversed(path))
-
-
 def branch_node(tree: FinitaryTree, tail_id: int, i: int):
     """The i-th denoted node along the branch of tail_id, 0 = the root."""
-    path = branch_path(tree, tail_id)
+    path = tree.paths[tail_id]
     if i < len(path):
         return (0, path[i])
     return (1, tail_id, i - len(path) + 1, 0)
@@ -292,7 +301,7 @@ def branch_node(tree: FinitaryTree, tail_id: int, i: int):
 
 def branch_index(tree: FinitaryTree, tail_id: int, addr) -> int | None:
     """Position of addr along the branch of tail_id, None when off it."""
-    path = branch_path(tree, tail_id)
+    path = tree.paths[tail_id]
     if addr[0] == 0:
         return path.index(addr[1]) if addr[1] in path else None
     _, t, k, side = addr
@@ -325,7 +334,7 @@ def parent_addr(tree: FinitaryTree, addr):
     nid = addr[1]
     if nid == 0:
         return None
-    return (0, parent_map(tree)[nid])
+    return (0, tree.parents[nid])
 
 
 def comb_view(tree: FinitaryTree, addr) -> int | None:
@@ -384,17 +393,18 @@ def labels_below(tree: FinitaryTree, addr) -> frozenset[str]:
 
 def walk_branch(tree: FinitaryTree, tail_id: int, base, k: int, side: int):
     """The node k steps below base along the branch of tail_id (side 0),
-    or the leaf sibling hanging off that step (side 1)."""
+    or the sibling hanging off that step (side 1)."""
     i0 = branch_index(tree, tail_id, base)
     if i0 is None:
         raise SiteError("address %r does not lie on the branch of tail %d"
                         % (base, tail_id))
-    here = branch_node(tree, tail_id, i0 + k)
+    path, i = tree.paths[tail_id], i0 + k
+    if i >= len(path):
+        return (1, tail_id, i - len(path) + 1, side)
     if side == 0:
-        return here
-    prev = branch_node(tree, tail_id, i0 + k - 1)
-    c1, c2 = denoted_children(tree, prev)
-    return c2 if c1 == here else c1
+        return (0, path[i])
+    a, b = tree.children[path[i - 1]]
+    return (0, b if a == path[i] else a)
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +419,25 @@ class TreeEmbedding:
 
     site: ClassVar[str] = "itree"
 
+    @cached_property
+    def targets(self) -> dict[int, int]:
+        """Source tail -> the target tail its continuation follows."""
+        return {t: s for t, s, _e in self.tail_routes}
+
+    @cached_property
+    def key(self) -> str:
+        """The morphism_key string."""
+        imgs = ";".join("%d:%s" % (i, ",".join(map(str, a)))
+                        for i, a in enumerate(self.explicit_images))
+        routes = ";".join("%d>%d" % (t, s) for t, s, _e in self.tail_routes)
+        return "%s>%s:%s|%s" % (self.dom.key, self.cod.key, imgs, routes)
+
     def route(self, t: int) -> int:
         """The target tail whose branch the continuation of tail t follows."""
-        for a, b, _e in self.tail_routes:
-            if a == t:
-                return b
-        raise SiteError("source node %d is not a routed tail" % t)
+        try:
+            return self.targets[t]
+        except KeyError:
+            raise SiteError("source node %d is not a routed tail" % t) from None
 
     def image(self, addr):
         if addr[0] == 0:
@@ -424,9 +447,15 @@ class TreeEmbedding:
                            k, side)
 
     def then(self, other: "TreeEmbedding") -> "TreeEmbedding":
-        imgs = tuple(other.image(a) for a in self.explicit_images)
-        targets = {t: other.route(s) for t, s, _e in self.tail_routes}
-        return make_embedding(self.dom, other.cod, imgs, targets)
+        """The composite, self then other.  Explicit images are read
+        straight from other's table; the routes keep the source-tail order
+        of self.tail_routes, with the entry offsets of the new images."""
+        table = other.explicit_images
+        imgs = tuple([table[a[1]] if a[0] == 0 else other.image(a)
+                      for a in self.explicit_images])
+        routes = tuple([(t, other.route(s), imgs[t][2] if imgs[t][0] == 1 else 0)
+                        for t, s, _e in self.tail_routes])
+        return TreeEmbedding(self.dom, other.cod, imgs, routes)
 
     def sort_key(self):
         return (self.explicit_images, self.tail_routes)
@@ -849,7 +878,7 @@ def c2prime_witness(square: PullbackSquare, u: TreeEmbedding,
             return False
         return pre_y(za) is not None
 
-    parents = parent_map(Z)
+    parents = Z.parents
 
     def explicit_has_l(z: int) -> bool:
         cur: int | None = z
@@ -1054,24 +1083,10 @@ class ITreeBackend:
         return emb
 
     def object_key(self, obj: FinitaryTree) -> str:
-        kinds, children, labels = obj.kinds, obj.children, obj.labels
-
-        def s(i):
-            if kinds[i] == LEAF:
-                return "L"
-            if kinds[i] == TAIL:
-                return "T(%s)" % labels[i]
-            a, b = children[i]
-            return "(%s %s)" % (s(a), s(b))
-
-        return s(0)
+        return obj.key
 
     def morphism_key(self, f: TreeEmbedding) -> str:
-        imgs = ";".join("%d:%s" % (i, ",".join(map(str, a)))
-                        for i, a in enumerate(f.explicit_images))
-        routes = ";".join("%d>%d" % (t, s) for t, s, _e in f.tail_routes)
-        return "%s>%s:%s|%s" % (self.object_key(f.dom), self.object_key(f.cod),
-                                imgs, routes)
+        return f.key
 
 
 register_backend(ITreeBackend())

@@ -497,8 +497,18 @@ def self_intersection_check(f, depth: int) -> CheckVerdict:
     objects = checker_objects(f.site, depth, (a_obj, b_obj))
     covered = backend_of(f).pairs_covered(depth, (a_obj, b_obj), b_obj, a_obj)
 
+    drawn, scan = [], _equalized_pairs(f, objects)
+
+    def pairs():
+        """The equalized pairs, scanned once per call: a pass replays the
+        pairs earlier passes drew and scans on only as far as it reads."""
+        yield from drawn
+        for pair in scan:
+            drawn.append(pair)
+            yield pair
+
     def excludes(u, hom_y_b) -> bool:
-        for alpha, betas in _equalized_pairs(f, objects):
+        for alpha, betas in pairs():
             ua = {compose(v, alpha) for v in hom_y_b}
             if any(compose(u, beta) not in ua for beta in betas):
                 return True

@@ -4,10 +4,11 @@ pullback_is_universal tests the limit property of a pullback square
 against test objects.  tree_table_problems and injection_problems
 restate the shape invariants that the FinitaryTree and Injection
 constructors do not check, so tests can hold every value the library
-assembles to them.
+assembles to them; tree_index_problems recomputes the indices _freeze
+stores on every tree.
 """
 
-from atomkit import compose, hom_set
+from atomkit import compose, hom_set, object_key
 from atomkit.itree import INTERNAL, LEAF, TAIL
 
 
@@ -77,6 +78,39 @@ def tree_table_problems(tree) -> list[str]:
             problems.append("nodes %s are unreachable"
                             % sorted(set(range(n)) - reached))
     return problems
+
+
+def tree_index_problems(tree) -> list[str]:
+    """Every stored per-tree index that differs from the one recomputed
+    from the node table: the parent map, the tail ids, the branch path of
+    each tail, the object_key string and the hash of the fields."""
+    parents = [None] * len(tree.kinds)
+    for i, ch in enumerate(tree.children):
+        for c in ch or ():
+            parents[c] = i
+    tails = tuple(i for i, kind in enumerate(tree.kinds) if kind == TAIL)
+    paths = {}
+    for t in tails:
+        path = [t]
+        while parents[path[-1]] is not None:
+            path.append(parents[path[-1]])
+        paths[t] = tuple(reversed(path))
+
+    def key(i):
+        if tree.kinds[i] == LEAF:
+            return "L"
+        if tree.kinds[i] == TAIL:
+            return "T(%s)" % tree.labels[i]
+        a, b = tree.children[i]
+        return "(%s %s)" % (key(a), key(b))
+
+    want = {"parents": tuple(parents), "tail_ids": tails, "paths": paths,
+            "key": key(0),
+            "hash": hash((tree.kinds, tree.children, tree.labels))}
+    got = {"parents": tree.parents, "tail_ids": tree.tail_ids,
+           "paths": tree.paths, "key": object_key(tree), "hash": hash(tree)}
+    return ["stored %s %r differs from %r" % (name, got[name], want[name])
+            for name in want if got[name] != want[name]]
 
 
 def injection_problems(f) -> list[str]:

@@ -1,29 +1,35 @@
 """Every value the library assembles keeps the invariants that the
 FinitaryTree and Injection constructors trust instead of checking: the
 tree-table and injection-shape checks of checks.py, and check_embedding
-for tree embeddings."""
+for tree embeddings.  Every tree also carries the indices that _freeze
+stores, equal to the ones recomputed from its node table."""
 
 import pytest
 
 from atomkit import (FinitaryTree, FinSet, Injection, SiteError, Span,
-                     amalgamate, backend, build, compose, hom_set, leaf, node,
-                     pullback, tail)
+                     amalgamate, backend, build, compose, decode_object,
+                     encode_object, hom_set, leaf, node, pullback, tail)
 from atomkit.itree import (canonical_form, check_embedding,
                            regular_mono_witness, subtree_at)
 
-from checks import injection_problems, tree_table_problems
+from checks import (injection_problems, tree_index_problems,
+                    tree_table_problems)
 
 BOUND = 2
 
 
+def _tree_problems(tree) -> list:
+    return tree_table_problems(tree) or tree_index_problems(tree)
+
+
 def _problems(value) -> list:
     if isinstance(value, FinitaryTree):
-        return tree_table_problems(value)
+        return _tree_problems(value)
     if isinstance(value, FinSet):
         return []  # FinSet still checks its size
     if isinstance(value, Injection):
         return injection_problems(value)
-    found = tree_table_problems(value.dom) + tree_table_problems(value.cod)
+    found = _tree_problems(value.dom) + _tree_problems(value.cod)
     if not found:
         try:
             check_embedding(value)
@@ -74,8 +80,10 @@ def test_assembled_values_keep_the_constructor_invariants(site):
     made = _assembled(pool)
     if site == "itree":
         made += _tree_only(pool)
-        made += [canonical_form(v) for v in made
-                 if isinstance(v, FinitaryTree)]
+        trees = list(dict.fromkeys(v for v in made
+                                   if isinstance(v, FinitaryTree)))
+        made += [canonical_form(v) for v in trees]
+        made += [decode_object(encode_object(v)) for v in trees]
     assert len(made) > len(pool)
     bad = [(v, p) for v in made for p in _problems(v)]
     assert bad == []

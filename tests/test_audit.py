@@ -29,6 +29,7 @@ from atomkit import (
     tail,
     tree_stats,
 )
+from atomkit import itree
 from atomkit.audit import c2prime_chain, verify_chain
 
 
@@ -156,3 +157,21 @@ def test_atom_chain_respects_the_rank_budget():
         budget = stats.branch_count + stats.f_count + len(aut_group(base).elements)
         chain = atom_chain(make_atom(base))
         assert len(chain) - 1 <= budget
+
+
+def test_the_hom_set_memo_lives_for_one_audit_call(monkeypatch):
+    calls = []
+    real = itree.enumerate_embeddings
+
+    def counted(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(itree, "enumerate_embeddings", counted)
+    audit_c2prime("itree", 1)
+    first = len(calls)
+    audit_c2prime("itree", 1)
+    pool = backend("itree").objects_up_to(1)
+    assert 0 < first <= len(pool) ** 2
+    assert len(calls) == 2 * first
+    assert len(set(calls)) == first

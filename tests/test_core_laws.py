@@ -11,6 +11,7 @@ from atomkit import (
     Span,
     amalgamate,
     aut_group,
+    backend,
     build,
     canonical_json,
     compose,
@@ -31,6 +32,7 @@ from atomkit import (
     object_key,
     pullback,
     rank,
+    sort_key,
     subgroup_generated,
     tail,
 )
@@ -78,9 +80,14 @@ def test_hom_set_rejects_mixed_backends():
 
 
 def test_invertible_homs_are_the_automorphism_group():
-    for obj in (FinSet(0), FinSet(2), FinSet(3), build(node(leaf(), leaf()))):
-        isos = [f for f in hom_set(obj, obj) if is_iso(f)]
-        assert isos == list(aut_group(obj).elements)
+    """aut_group takes all of hom_set(x, x): every endomorphism is an
+    iso, and hom_set lists them in sort_key order."""
+    for obj in (backend("finsetinj").objects_up_to(4)
+                + backend("itree").objects_up_to(2)):
+        homs = hom_set(obj, obj)
+        assert all(is_iso(f) for f in homs)
+        assert homs == sorted(homs, key=sort_key)
+        assert homs == list(aut_group(obj).elements)
 
 
 def test_identity_predicate():

@@ -9,15 +9,19 @@ import pytest
 from atomkit import (
     SiteError,
     Span,
+    backend,
     build,
     compose,
     decode_object,
     encode_object,
     enumerate_embeddings,
     enumerate_trees,
+    hom_set,
     identity,
     is_iso,
     leaf,
+    make_embedding,
+    morphism_key,
     node,
     object_key,
     pullback,
@@ -27,8 +31,11 @@ from atomkit import (
     validate_tree,
 )
 from atomkit.itree import (
+    branch_index,
     c2prime_witness,
     canonical_form,
+    check_embedding,
+    denoted_children,
     equalizer_of,
     regular_mono_witness,
     same_subtree,
@@ -136,6 +143,43 @@ def test_embeddings_compose_within_hom_sets():
             continue
         f, g = rng.choice(fs), rng.choice(gs)
         assert compose(f, g) in enumerate_embeddings(x, z)
+
+
+def _stepped_image(g, addr):
+    """g's image of addr, walked one denoted level at a time from the
+    image of the tail along its route."""
+    if addr[0] == 0:
+        return g.explicit_images[addr[1]]
+    _, t, k, side = addr
+    s, here = g.route(t), g.explicit_images[t]
+    for step in range(1, k + 1):
+        a, b = denoted_children(g.cod, here)
+        on, off = (a, b) if branch_index(g.cod, s, a) is not None else (b, a)
+        here = off if step == k and side == 1 else on
+    return here
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_then_matches_the_reference_composite(bound):
+    pool = backend("itree").objects_up_to(bound)
+    arrows = [f for a in pool for b in pool for f in hom_set(a, b)]
+    composed = 0
+    for f in arrows:
+        for g in arrows:
+            if f.cod != g.dom:
+                continue
+            got = f.then(g)
+            want = make_embedding(
+                f.dom, g.cod, tuple(g.image(a) for a in f.explicit_images),
+                {t: g.route(s) for t, s, _e in f.tail_routes})
+            assert got == want
+            assert morphism_key(got) == morphism_key(want)
+            assert got.sort_key() == want.sort_key()
+            check_embedding(got)
+            assert [g.image(a) for a in f.explicit_images] == \
+                [_stepped_image(g, a) for a in f.explicit_images]
+            composed += 1
+    assert composed > len(arrows)
 
 
 def test_pullback_along_identity_and_diagonal():

@@ -45,6 +45,7 @@ from atomkit import (
     tail,
     unordered_pairs_fragment,
 )
+from atomkit import presheaf
 from atomkit.atoms import AtomMap
 from atomkit.presheaf import ClosureError, _equalized_pairs
 
@@ -190,6 +191,29 @@ def test_self_intersection_fails_on_root_inclusion():
 
 def test_self_intersection_identity_is_trivial():
     assert self_intersection_check(identity(T3), 2).status == "pass"
+
+
+@pytest.mark.parametrize("f, depth", [
+    (enumerate_embeddings(T1, build(tail("i")))[0], 2),
+    (make_injection(1, 2, (0,)), 3),
+])
+def test_self_intersection_draws_each_equalized_pair_once(monkeypatch, f,
+                                                          depth):
+    """Several arrows reach the pair test here; they share one scan, which
+    hands out each pair once, in scan order."""
+    scan, drawn = presheaf._equalized_pairs, []
+
+    def counted(m, objects):
+        for alpha, betas in scan(m, objects):
+            drawn.append((alpha, tuple(betas)))
+            yield alpha, betas
+
+    monkeypatch.setattr(presheaf, "_equalized_pairs", counted)
+    self_intersection_check(f, depth)
+    objects = checker_objects(f.site, depth, (f.dom, f.cod))
+    every = [(alpha, tuple(betas)) for alpha, betas in scan(f, objects)]
+    assert len(drawn) > 1
+    assert drawn == every[:len(drawn)]
 
 
 def test_compute_K_point_into_pair():

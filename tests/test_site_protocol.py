@@ -1,15 +1,18 @@
 """Site dispatch stays in the backends: every backend implements the
-whole Site protocol, generic modules never name a site, and untagged
-payloads still find their backend."""
+whole Site protocol, generic modules never name a site, untagged
+payloads still find their backend, and no module keeps a cache that
+outlives a call."""
 
 import pathlib
 import re
+import sys
 
 import pytest
 
-from atomkit import (FinSet, SiteError, build, decode_morphism, decode_object,
+from atomkit import (FinSet, SiteError, audit_c1, audit_c2prime, build,
+                     compute_K, decode_morphism, decode_object,
                      encode_morphism, encode_object, enumerate_embeddings,
-                     leaf, make_injection, node, tail)
+                     leaf, make_injection, node, self_intersection_check, tail)
 from atomkit.core import BACKENDS, Site
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "atomkit"
@@ -43,6 +46,35 @@ def test_trees_are_materialized_in_one_place():
              for line in path.read_text(encoding="utf-8").splitlines()
              if re.search(r"\bFinitaryTree\(", line)]
     assert len(calls) == 1 and calls[0][0] == "itree.py", calls
+
+
+def _module_containers() -> dict:
+    """The size of every dict, set and list bound at module level in an
+    atomkit module."""
+    return {(name, attr): len(value)
+            for name, mod in sorted(sys.modules.items())
+            if name == "atomkit" or name.startswith("atomkit.")
+            for attr, value in vars(mod).items()
+            if isinstance(value, (dict, set, list)) and not attr.startswith("__")}
+
+
+def test_no_module_keeps_a_global_cache():
+    """Caches live in one call (the audits' hom-set memo) or on one value
+    (the indices _freeze stores on a tree), so memory does not grow with
+    the calls a process has made."""
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"\blru_cache\b|\bfunctools\.cache\b|"
+                             r"^\s*@cache\b|import .*\bcache\b", text,
+                             re.MULTILINE), path.name
+    before = _module_containers()
+    assert ("atomkit.core", "BACKENDS") in before
+    audit_c1("itree", 1)
+    audit_c2prime("itree", 1)
+    mono = enumerate_embeddings(build(leaf()), build(node(leaf(), leaf())))[0]
+    self_intersection_check(mono, 1)
+    compute_K(make_injection(1, 2, (0,)), 1)
+    assert _module_containers() == before
 
 
 def test_generic_modules_never_compare_a_site_with_a_literal():
