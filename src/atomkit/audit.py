@@ -16,7 +16,7 @@ from .atoms import FormalAtom, coequalize_representables
 from .core import (Span, SiteError, amalgamate, aut_group, backend, backend_of,
                    compose, hom_set, identity, is_iso, morphism_key,
                    object_key, pullback, rank, subgroup_generated)
-from .presheaf import CheckVerdict
+from .presheaf import CheckVerdict, _equalized_pairs
 
 
 @dataclass(frozen=True)
@@ -43,17 +43,33 @@ class AuditReport:
                              for k, v in self.verdicts]}
 
 
-def _hom_memo():
-    """hom_set, memoised per (dom, cod) for the audit call that made it:
-    the memo lives as long as that call, so nothing outlives it."""
-    memo: dict = {}
+class _Memo:
+    """hom_set, compose and identity, each memoised in a dict of its own
+    for the audit call that made the memo: the memo lives as long as that
+    call, so nothing outlives it.  Arrows are values that hash and compare
+    by value, and composition is a function of them, so an argument seen
+    before gets back the value computed the first time."""
 
-    def homs(a, b) -> list:
-        if (a, b) not in memo:
-            memo[a, b] = hom_set(a, b)
-        return memo[a, b]
+    def __init__(self):
+        self._homs: dict = {}
+        self._composites: dict = {}
+        self._identities: dict = {}
 
-    return homs
+    def homs(self, a, b) -> list:
+        if (a, b) not in self._homs:
+            self._homs[a, b] = hom_set(a, b)
+        return self._homs[a, b]
+
+    def compose(self, f, g):
+        fg = self._composites.get((f, g))
+        if fg is None:
+            fg = self._composites[f, g] = compose(f, g)
+        return fg
+
+    def identity(self, obj):
+        if obj not in self._identities:
+            self._identities[obj] = identity(obj)
+        return self._identities[obj]
 
 
 # ---------------------------------------------------------------------------
@@ -65,9 +81,13 @@ def _regular_mono_row(m, bound: int = 0) -> CheckVerdict:
 
 
 def audit_c1(site: str, bound: int) -> AuditReport:
-    """Every span within bound amalgamates; every mono is regular."""
+    """Every span within bound amalgamates; every mono is regular.
+
+    A span row passes exactly when amalgamate returns: amalgamate checks
+    that its cocone commutes and raises SiteError when it does not.
+    """
     objects = backend(site).objects_up_to(bound)
-    homs = _hom_memo()
+    homs = _Memo().homs
     rows = []
     for a in objects:
         for b in objects:
@@ -76,11 +96,8 @@ def audit_c1(site: str, bound: int) -> AuditReport:
                     for g in homs(a, x):
                         key = "span|%s|%s" % (morphism_key(f), morphism_key(g))
                         cone = amalgamate(Span(f, g))
-                        good = (compose(f, cone.from_left)
-                                == compose(g, cone.from_right))
                         rows.append((key, CheckVerdict(
-                            "pass" if good else "fail",
-                            {"cocone": object_key(cone.obj)}, bound)))
+                            "pass", {"cocone": object_key(cone.obj)}, bound)))
     for a in objects:
         for b in objects:
             for m in homs(a, b):
@@ -92,65 +109,72 @@ def audit_c1(site: str, bound: int) -> AuditReport:
 # ---------------------------------------------------------------------------
 # C2': zig-zag completion over pullbacks
 
-def c2prime_chain(square, u, v) -> tuple:
+def c2prime_chain(square, u, v, *, memo: _Memo | None = None) -> tuple:
     """A morphism w out of the ambient object and the zig-zag chain
     u;w = k_0, ..., k_n = v;w with consecutive entries agreeing on one
     leg of the square.
 
-    After the trivial shortcuts the site's zigzag builds the chain.
+    After the trivial shortcuts the site's zigzag builds the chain.  An
+    audit passes its memo, so composites it has computed are not
+    recomputed; every check runs either way.
     """
+    memo = _Memo() if memo is None else memo
     f, g = square.left, square.right
     z = f.cod
     if u.dom != z or v.dom != z or u.cod != v.cod:
         raise SiteError("the pair must be parallel out of the ambient object")
-    meet = compose(square.to_left, f)
-    if compose(meet, u) != compose(meet, v):
+    meet = memo.compose(square.to_left, f)
+    if memo.compose(meet, u) != memo.compose(meet, v):
         raise SiteError("the pair does not agree on the intersection")
     if u == v:
-        return identity(u.cod), (u,)
-    if compose(f, u) == compose(f, v) or compose(g, u) == compose(g, v):
-        return identity(u.cod), (u, v)
+        return memo.identity(u.cod), (u,)
+    if (memo.compose(f, u) == memo.compose(f, v)
+            or memo.compose(g, u) == memo.compose(g, v)):
+        return memo.identity(u.cod), (u, v)
     return backend_of(z).zigzag(square, u, v)
 
 
-def verify_chain(square, u, v, w, chain) -> bool:
+def verify_chain(square, u, v, w, chain, *, memo: _Memo | None = None) -> bool:
+    memo = _Memo() if memo is None else memo
     f, g = square.left, square.right
-    if chain[0] != compose(u, w) or chain[-1] != compose(v, w):
+    if chain[0] != memo.compose(u, w) or chain[-1] != memo.compose(v, w):
         return False
     for k1, k2 in zip(chain, chain[1:]):
-        if compose(f, k1) != compose(f, k2) and compose(g, k1) != compose(g, k2):
+        if (memo.compose(f, k1) != memo.compose(f, k2)
+                and memo.compose(g, k1) != memo.compose(g, k2)):
             return False
     return True
 
 
 def audit_c2prime(site: str, bound: int) -> AuditReport:
     """For every pullback square and agreeing pair within bound, build
-    and verify a zig-zag chain."""
+    and verify a zig-zag chain.
+
+    One memo serves the whole call, so each composite is computed once.
+    The pairs agreeing on the square's meet come from one grouping of
+    each hom-set by their composite with it, in hom-set (u, v) order.
+    """
     objects = backend(site).objects_up_to(bound)
-    homs = _hom_memo()
+    memo = _Memo()
     rows = []
     for z in objects:
-        legs = [(x, m) for x in objects for m in homs(x, z)]
-        for x, f in legs:
-            for y, g in legs:
+        legs = [m for x in objects for m in memo.homs(x, z)]
+        for f in legs:
+            for g in legs:
                 square = pullback(f, g)
-                meet = compose(square.to_left, f)
-                for a in objects:
-                    arrows = homs(z, a)
-                    for u in arrows:
-                        mu = compose(meet, u)
-                        for v in arrows:
-                            if mu != compose(meet, v):
-                                continue
-                            key = "zigzag|%s|%s|%s|%s" % (
-                                morphism_key(f), morphism_key(g),
-                                morphism_key(u), morphism_key(v))
-                            w, chain = c2prime_chain(square, u, v)
-                            good = verify_chain(square, u, v, w, chain)
-                            rows.append((key, CheckVerdict(
-                                "pass" if good else "fail",
-                                {"chain_length": len(chain),
-                                 "target": object_key(w.cod)}, bound)))
+                meet = memo.compose(square.to_left, f)
+                prefix = "zigzag|%s|%s|" % (morphism_key(f), morphism_key(g))
+                for u, agreeing in _equalized_pairs(meet, objects, memo.homs,
+                                                    memo.compose):
+                    for v in agreeing:
+                        key = prefix + "%s|%s" % (morphism_key(u),
+                                                  morphism_key(v))
+                        w, chain = c2prime_chain(square, u, v, memo=memo)
+                        good = verify_chain(square, u, v, w, chain, memo=memo)
+                        rows.append((key, CheckVerdict(
+                            "pass" if good else "fail",
+                            {"chain_length": len(chain),
+                             "target": object_key(w.cod)}, bound)))
     return AuditReport("C2prime", bound, tuple(rows))
 
 

@@ -432,6 +432,16 @@ class TreeEmbedding:
         routes = ";".join("%d>%d" % (t, s) for t, s, _e in self.tail_routes)
         return "%s>%s:%s|%s" % (self.dom.key, self.cod.key, imgs, routes)
 
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the fields, computed once: audits look
+        embeddings up in their memo again and again."""
+        return hash((self.dom, self.cod, self.explicit_images,
+                     self.tail_routes))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def route(self, t: int) -> int:
         """The target tail whose branch the continuation of tail t follows."""
         try:
@@ -1058,7 +1068,7 @@ class ITreeBackend:
 
         def addr(a):
             if isinstance(a, list) and len(a) >= 2 and is_int(a[1]):
-                if a[0] == "n":
+                if a[0] == "n" and len(a) == 2:
                     return (0, tmap.get(a[1], -1))
                 if (a[0] == "t" and len(a) == 4 and is_int(a[2])
                         and a[3] in ("b", "l")):

@@ -5,7 +5,8 @@ against test objects.  tree_table_problems and injection_problems
 restate the shape invariants that the FinitaryTree and Injection
 constructors do not check, so tests can hold every value the library
 assembles to them; tree_index_problems recomputes the indices _freeze
-stores on every tree.
+stores on every tree, and embedding_hash_problems the hash an embedding
+stores.
 """
 
 from atomkit import compose, hom_set, object_key
@@ -111,6 +112,15 @@ def tree_index_problems(tree) -> list[str]:
            "paths": tree.paths, "key": object_key(tree), "hash": hash(tree)}
     return ["stored %s %r differs from %r" % (name, got[name], want[name])
             for name in want if got[name] != want[name]]
+
+
+def embedding_hash_problems(emb) -> list[str]:
+    """The stored hash of a tree embedding, when it differs from the
+    dataclass hash of its fields."""
+    want = hash((emb.dom, emb.cod, emb.explicit_images, emb.tail_routes))
+    if hash(emb) != want:
+        return ["stored embedding hash %r differs from %r" % (hash(emb), want)]
+    return []
 
 
 def injection_problems(f) -> list[str]:

@@ -2,7 +2,8 @@
 FinitaryTree and Injection constructors trust instead of checking: the
 tree-table and injection-shape checks of checks.py, and check_embedding
 for tree embeddings.  Every tree also carries the indices that _freeze
-stores, equal to the ones recomputed from its node table."""
+stores, equal to the ones recomputed from its node table, and every
+embedding the hash of its fields."""
 
 import pytest
 
@@ -12,8 +13,8 @@ from atomkit import (FinitaryTree, FinSet, Injection, SiteError, Span,
 from atomkit.itree import (canonical_form, check_embedding,
                            regular_mono_witness, subtree_at)
 
-from checks import (injection_problems, tree_index_problems,
-                    tree_table_problems)
+from checks import (embedding_hash_problems, injection_problems,
+                    tree_index_problems, tree_table_problems)
 
 BOUND = 2
 
@@ -29,7 +30,8 @@ def _problems(value) -> list:
         return []  # FinSet still checks its size
     if isinstance(value, Injection):
         return injection_problems(value)
-    found = _tree_problems(value.dom) + _tree_problems(value.cod)
+    found = (_tree_problems(value.dom) + _tree_problems(value.cod)
+             + embedding_hash_problems(value))
     if not found:
         try:
             check_embedding(value)

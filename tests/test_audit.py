@@ -5,6 +5,8 @@ finiteness, and the atom-chain stabilization helper."""
 import pytest
 
 from atomkit import (
+    AuditReport,
+    CheckVerdict,
     FinSet,
     SiteError,
     atom_chain,
@@ -18,10 +20,12 @@ from atomkit import (
     compose,
     enumerate_embeddings,
     extend_parallel_pair,
+    hom_set,
     identity,
     leaf,
     make_atom,
     make_injection,
+    morphism_key,
     node,
     object_key,
     pullback,
@@ -29,8 +33,9 @@ from atomkit import (
     tail,
     tree_stats,
 )
-from atomkit import itree
+from atomkit import audit, itree
 from atomkit.audit import c2prime_chain, verify_chain
+from atomkit.core import backend_of
 
 
 def test_audit_objects_counts():
@@ -160,18 +165,97 @@ def test_atom_chain_respects_the_rank_budget():
 
 
 def test_the_hom_set_memo_lives_for_one_audit_call(monkeypatch):
-    calls = []
-    real = itree.enumerate_embeddings
+    """hom_set and compose are memoised for one call: a second call makes
+    the same calls again, and within one call no hom-set and no composite
+    is computed twice.  The commutativity check of each pullback square
+    composes outside the memo, so its composites are counted apart."""
+    calls, composites, square_checks, building = [], [], [], []
+    real_enumerate = itree.enumerate_embeddings
+    real_then = itree.TreeEmbedding.then
+    real_pullback = audit.pullback
 
-    def counted(x, y):
+    def enumerate_counted(x, y):
         calls.append((x, y))
-        return real(x, y)
+        return real_enumerate(x, y)
 
-    monkeypatch.setattr(itree, "enumerate_embeddings", counted)
+    def then_counted(f, g):
+        (square_checks if building else composites).append((f, g))
+        return real_then(f, g)
+
+    def pullback_marked(f, g):
+        building.append(True)
+        try:
+            return real_pullback(f, g)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(itree, "enumerate_embeddings", enumerate_counted)
+    monkeypatch.setattr(itree.TreeEmbedding, "then", then_counted)
+    monkeypatch.setattr(audit, "pullback", pullback_marked)
     audit_c2prime("itree", 1)
-    first = len(calls)
+    first, first_composites = len(calls), len(composites)
+    first_checks = len(square_checks)
     audit_c2prime("itree", 1)
     pool = backend("itree").objects_up_to(1)
     assert 0 < first <= len(pool) ** 2
     assert len(calls) == 2 * first
     assert len(set(calls)) == first
+    assert 0 < first_composites and len(composites) == 2 * first_composites
+    assert len(set(composites)) == first_composites
+    assert len(square_checks) == 2 * first_checks
+
+
+def _reference_chain(square, u, v) -> tuple:
+    """c2prime_chain as a plain function of core compose and identity."""
+    f, g = square.left, square.right
+    meet = compose(square.to_left, f)
+    assert compose(meet, u) == compose(meet, v)
+    if u == v:
+        return identity(u.cod), (u,)
+    if compose(f, u) == compose(f, v) or compose(g, u) == compose(g, v):
+        return identity(u.cod), (u, v)
+    return backend_of(f.cod).zigzag(square, u, v)
+
+
+def _reference_verify(square, u, v, w, chain) -> bool:
+    f, g = square.left, square.right
+    if chain[0] != compose(u, w) or chain[-1] != compose(v, w):
+        return False
+    return all(compose(f, k1) == compose(f, k2)
+               or compose(g, k1) == compose(g, k2)
+               for k1, k2 in zip(chain, chain[1:]))
+
+
+def _reference_c2prime(site: str, bound: int) -> AuditReport:
+    """The C2' audit as the plain loop: no memo, and every pair (u, v)
+    tested for agreement on the square's meet."""
+    objects = backend(site).objects_up_to(bound)
+    rows = []
+    for z in objects:
+        legs = [m for x in objects for m in hom_set(x, z)]
+        for f in legs:
+            for g in legs:
+                square = pullback(f, g)
+                meet = compose(square.to_left, f)
+                for a in objects:
+                    arrows = hom_set(z, a)
+                    for u in arrows:
+                        for v in arrows:
+                            if compose(meet, u) != compose(meet, v):
+                                continue
+                            key = "zigzag|%s|%s|%s|%s" % (
+                                morphism_key(f), morphism_key(g),
+                                morphism_key(u), morphism_key(v))
+                            w, chain = _reference_chain(square, u, v)
+                            good = _reference_verify(square, u, v, w, chain)
+                            rows.append((key, CheckVerdict(
+                                "pass" if good else "fail",
+                                {"chain_length": len(chain),
+                                 "target": object_key(w.cod)}, bound)))
+    return AuditReport("C2prime", bound, tuple(rows))
+
+
+@pytest.mark.parametrize("site, bound", [("itree", 1), ("finsetinj", 2)])
+def test_c2prime_report_matches_the_plain_loop(site, bound):
+    assert audit_c2prime(site, bound).to_json() \
+        == _reference_c2prime(site, bound).to_json()

@@ -255,6 +255,7 @@ def _leaf_in_t3(**fields):
     (["tree", "regmono"], _leaf_in_t3(tail_routes={"0": 5})),
     (["tree", "regmono"], _leaf_in_t3(explicit_images={"0": ["n", [0]]})),
     (["tree", "regmono"], _leaf_in_t3(source="nodes root")),
+    (["tree", "regmono"], _leaf_in_t3(explicit_images={"0": ["n", 0, 5, 6]})),
 ])
 def test_misshapen_tree_payloads_are_usage_errors(tmp_path, capsys, command,
                                                   payload):
