@@ -100,6 +100,12 @@ class PresheafFragment:
         self._check_tables()
 
     def _check_tables(self) -> None:
+        """Check every action row's shape, injectivity and identities, then
+        functoriality on the composable listed pairs only (f, g with
+        cod f = dom g), in listed order: f in turn, then each g that
+        starts where f ends.  A composite is looked up by value, which
+        finds exactly the listed arrows, since morphism keys are one-to-one
+        on values.  Raises a site error naming the first violation."""
         listed = self._listed
         unknown = set(self._act) - set(listed)
         if unknown:
@@ -114,16 +120,18 @@ class PresheafFragment:
                 raise SiteError("action table for %s is not injective" % key)
             if is_identity(f) and row != tuple(range(na)):
                 raise SiteError("identity arrow must act as the identity")
+        key_of = {f: key for key, f in listed.items()}
+        starting = {}  # object -> the listed arrows out of it, in order
+        for gk, g in listed.items():
+            starting.setdefault(g.dom, []).append((gk, g))
         for fk, f in listed.items():
-            for gk, g in listed.items():
-                if f.cod != g.dom:
+            row_f = self._act[fk]
+            for gk, g in starting.get(f.cod, ()):
+                ck = key_of.get(compose(f, g))
+                if ck is None:
                     continue
-                ck = morphism_key(compose(f, g))
-                if ck not in self._act:
-                    continue
-                left = self._act[ck]
-                right = tuple(self._act[gk][i] for i in self._act[fk])
-                if left != right:
+                row_g = self._act[gk]
+                if self._act[ck] != tuple(map(row_g.__getitem__, row_f)):
                     raise SiteError("fragment action is not functorial on "
                                     "%s then %s" % (fk, gk))
 
@@ -172,10 +180,11 @@ def assert_pullback_closed(frag: PresheafFragment) -> None:
     image from the apex.
     """
     listed = frag._listed.values()
+    ending = {}  # object -> the listed arrows into it, in order
+    for g in listed:
+        ending.setdefault(g.cod, []).append(g)
     for f in listed:
-        for g in listed:
-            if f.cod != g.cod:
-                continue
+        for g in ending[f.cod]:
             square = pullback(f, g)
             apex_key = object_key(square.apex)
             if apex_key not in frag._els:
@@ -563,6 +572,15 @@ def compute_K(f, depth: int) -> KResult:
     the step taken for a pair satisfies it (the pullback leg into B is its
     j').  The result carries the inclusion j: k -> B, the corestriction of
     f, and the group of automorphisms of k fixing it.
+
+    Two shortcuts skip only pairs that take no step.  A class of agreeing
+    betas that is alpha alone needs no test: j;alpha is in ja because j is
+    in hom(k, B).  Otherwise the class's set {j;beta} is kept until j
+    changes, and when it lies inside ja no beta of the class can step, so
+    the ordered scan over the class, which steps at its first beta with
+    j;beta outside ja, runs only when it will step.  The classes are the
+    fibres of alpha -> f;alpha on each hom-set out of B, so they are
+    disjoint and the first member names one.
     """
     a_obj, b_obj = f.dom, f.cod
     objects = checker_objects(f.site, depth, (a_obj, b_obj))
@@ -571,8 +589,16 @@ def compute_K(f, depth: int) -> KResult:
     k, j = b_obj, identity(b_obj)
     hom_k_b = hom_set(k, b_obj)
     steps = []
+    through_j = {}  # first beta of a class -> {j;beta : beta in the class}
     for alpha, betas in _equalized_pairs(f, objects):
+        if len(betas) == 1:
+            continue
+        jb = through_j.get(betas[0])
+        if jb is None:
+            jb = through_j[betas[0]] = {compose(j, beta) for beta in betas}
         ja = {compose(j2, alpha) for j2 in hom_k_b}
+        if jb <= ja:
+            continue
         for beta in betas:
             if compose(j, beta) not in ja:
                 square = pullback(compose(j, beta), alpha)
@@ -580,6 +606,7 @@ def compute_K(f, depth: int) -> KResult:
                 k, j = square.apex, compose(square.to_left, j)
                 hom_k_b = hom_set(k, b_obj)
                 ja = {compose(j2, alpha) for j2 in hom_k_b}
+                through_j.clear()
 
     unit = next((i for i in hom_set(a_obj, k) if compose(i, j) == f), None)
     if unit is None:

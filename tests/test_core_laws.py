@@ -74,6 +74,16 @@ def test_hom_set_is_duplicate_free_and_ordered():
     assert hom_set(FinSet(2), FinSet(1)) == []
 
 
+def test_morphism_keys_are_one_to_one_on_values():
+    """Fragments look a composite's key up by its value, which is exact
+    only while no two distinct arrows share a key."""
+    for pool in (backend("finsetinj").objects_up_to(4),
+                 backend("itree").objects_up_to(2)):
+        arrows = [f for a in pool for b in pool for f in hom_set(a, b)]
+        assert len(set(arrows)) == len(arrows)
+        assert len({morphism_key(f) for f in arrows}) == len(arrows)
+
+
 def test_hom_set_rejects_mixed_backends():
     with pytest.raises(SiteError):
         hom_set(FinSet(1), build(leaf()))
