@@ -19,9 +19,7 @@ default because it is the one under which identity maps always exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .core import (AutGroup, PullbackSquare, SiteError, compose,
+from .core import (AutGroup, PullbackSquare, SiteError, Value, compose,
                    decode_morphism, decode_object, encode_morphism,
                    encode_object, group_name, hom_set, identity, inverse,
                    is_iso, object_key, pullback, sort_key, subgroup_generated)
@@ -29,13 +27,13 @@ from .core import (AutGroup, PullbackSquare, SiteError, compose,
 VARIANTS = ("derived", "paper")
 
 
-@dataclass(frozen=True)
-class FormalAtom:
-    base: object
-    group: AutGroup
+class FormalAtom(Value):
+    _fields = ("base", "group")
 
-    def __post_init__(self):
-        if self.group.obj != self.base:
+    def __init__(self, base, group: AutGroup):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "group", group)
+        if group.obj != base:
             raise SiteError("atom group must consist of automorphisms of the base")
 
     @property
@@ -77,24 +75,25 @@ def _canonical_rep(source: FormalAtom, target: FormalAtom, rep, variant: str):
     return min(orbit, key=sort_key)
 
 
-@dataclass(frozen=True)
-class AtomMap:
+class AtomMap(Value):
     """A map of atoms; the stored representative is the class minimum."""
 
-    source: FormalAtom
-    target: FormalAtom
-    rep: object
-    variant: str = field(default="derived", compare=False)
+    _fields = ("source", "target", "rep", "variant")
+    _compare = ("source", "target", "rep")
 
-    def __post_init__(self):
-        if self.rep.dom != self.target.base or self.rep.cod != self.source.base:
+    def __init__(self, source: FormalAtom, target: FormalAtom, rep,
+                 variant: str = "derived"):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "variant", variant)
+        if rep.dom != target.base or rep.cod != source.base:
             raise SiteError("atom map representative must run target base -> "
                             "source base")
-        if not rep_is_valid(self.source, self.target, self.rep, self.variant):
+        if not rep_is_valid(source, target, rep, variant):
             raise SiteError("arrow does not represent a map of atoms "
-                            "(variant %r)" % self.variant)
-        object.__setattr__(self, "rep", _canonical_rep(
-            self.source, self.target, self.rep, self.variant))
+                            "(variant %r)" % variant)
+        object.__setattr__(self, "rep",
+                           _canonical_rep(source, target, rep, variant))
 
 
 def atom_identity(atom: FormalAtom, variant: str = "derived") -> AtomMap:
@@ -167,8 +166,7 @@ def decode_atom(data: dict, site: str | None = None) -> FormalAtom:
 # ---------------------------------------------------------------------------
 # coequalizers of parallel pairs of representables
 
-@dataclass(frozen=True)
-class CoeqTrace:
+class CoeqTrace(Value):
     """The run of the pullback iteration and its resulting atom.
 
     sigma is the mismatch of the final invertible pair, first then the
@@ -177,12 +175,16 @@ class CoeqTrace:
     the result.
     """
 
-    alpha: object
-    beta: object
-    steps: tuple[PullbackSquare, ...]
-    result: FormalAtom
-    sigma: object
-    quotient_rep: object
+    _fields = ("alpha", "beta", "steps", "result", "sigma", "quotient_rep")
+
+    def __init__(self, alpha, beta, steps: tuple[PullbackSquare, ...],
+                 result: FormalAtom, sigma, quotient_rep):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "quotient_rep", quotient_rep)
 
     def quotient_map(self, variant: str = "derived") -> AtomMap:
         src = FormalAtom(self.alpha.dom, subgroup_generated(self.alpha.dom, ()))

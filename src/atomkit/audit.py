@@ -10,20 +10,22 @@ A bound b covers the objects the site's objects_up_to(b) lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .atoms import FormalAtom, coequalize_representables
-from .core import (Span, SiteError, amalgamate, aut_group, backend, backend_of,
-                   compose, hom_set, identity, is_iso, morphism_key,
-                   object_key, pullback, rank, subgroup_generated)
+from .core import (Span, SiteError, Value, amalgamate, aut_group, backend,
+                   backend_of, compose, hom_set, identity, is_iso,
+                   morphism_key, object_key, pullback, rank,
+                   subgroup_generated)
 from .presheaf import CheckVerdict, _equalized_pairs
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    condition: str
-    bound: int
-    verdicts: tuple[tuple[str, CheckVerdict], ...]
+class AuditReport(Value):
+    _fields = ("condition", "bound", "verdicts")
+
+    def __init__(self, condition: str, bound: int,
+                 verdicts: tuple[tuple[str, CheckVerdict], ...]):
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "verdicts", verdicts)
 
     @property
     def passed(self) -> bool:

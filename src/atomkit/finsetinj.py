@@ -8,33 +8,49 @@ lexicographic payload order, which is the canonical order everywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import ClassVar
 
-from .core import (Cocone, PullbackSquare, RankValue, SiteError, Span,
+from .core import (Cocone, PullbackSquare, RankValue, SiteError, Span, Value,
                    amalgamate, compose, is_int, object_key, register_backend)
 
 
-@dataclass(frozen=True)
-class FinSet:
-    size: int
-    site: ClassVar[str] = "finsetinj"
+class FinSet(Value):
+    _fields = ("size",)
+    site = "finsetinj"
 
-    def __post_init__(self):
-        if self.size < 0:
+    def __init__(self, size: int):
+        object.__setattr__(self, "size", size)
+        if size < 0:
             raise SiteError("object size must be a natural number")
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.size,) == (other.size,)
+        return NotImplemented
 
-@dataclass(frozen=True)
-class Injection:
+    def __hash__(self):
+        return hash((self.size,))
+
+
+class Injection(Value):
     """The injection dom -> cod sending i to map[i].  The constructor
     trusts its arguments; make_injection is the checked one."""
 
-    dom: FinSet
-    cod: FinSet
-    map: tuple[int, ...]
+    _fields = ("dom", "cod", "map")
+    site = "finsetinj"
 
-    site: ClassVar[str] = "finsetinj"
+    def __init__(self, dom: FinSet, cod: FinSet, map: tuple[int, ...]):
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "map", map)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dom, self.cod, self.map) == (other.dom, other.cod,
+                                                      other.map)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.dom, self.cod, self.map))
 
     def __call__(self, i: int) -> int:
         return self.map[i]
@@ -58,11 +74,6 @@ def make_injection(dom_size: int, cod_size: int, values) -> Injection:
     if len(set(values)) != len(values):
         raise SiteError("map is not injective")
     return Injection(dom, cod, values)
-
-
-def complement_positions(f: Injection) -> tuple[int, ...]:
-    """Codomain positions missed by f, ascending."""
-    return tuple(sorted(set(range(f.cod.size)) - set(f.map)))
 
 
 def _top(seeds) -> int:

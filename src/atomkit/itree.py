@@ -33,12 +33,11 @@ landed, _inclusion sends each node back to its recorded position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, ClassVar, NamedTuple
+from typing import Callable, NamedTuple
 
-from .core import (Cocone, PullbackSquare, RankValue, SiteError, Span, compose,
-                   is_int, is_iso, object_key, register_backend)
+from .core import (Cocone, PullbackSquare, RankValue, SiteError, Span, Value,
+                   compose, is_int, is_iso, object_key, register_backend)
 
 INTERNAL, LEAF, TAIL = "internal", "leaf", "tail"
 AUDIT_LABELS = ("i", "j")
@@ -53,8 +52,7 @@ class TreeTooDeep(SiteError):
     implementation, not an invalid tree."""
 
 
-@dataclass(frozen=True)
-class FinitaryTree:
+class FinitaryTree(Value):
     """Explicit encoding, node ids 0..n-1 with the root at 0.  The
     constructor trusts its arguments: only _freeze calls it, on scratch
     trees that validate_tree or build checked or the library assembled.
@@ -70,15 +68,25 @@ class FinitaryTree:
     and the hash of the fields, which __hash__ returns.
     """
 
-    kinds: tuple[str, ...]
-    children: tuple[tuple[int, int] | None, ...]
-    labels: tuple[str | None, ...]
+    _fields = ("kinds", "children", "labels")
+    site = "itree"
 
-    site: ClassVar[str] = "itree"
+    def __init__(self, kinds: tuple[str, ...],
+                 children: tuple[tuple[int, int] | None, ...],
+                 labels: tuple[str | None, ...]):
+        object.__setattr__(self, "kinds", kinds)
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n_nodes(self) -> int:
         return len(self.kinds)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kinds, self.children, self.labels) == \
+                (other.kinds, other.children, other.labels)
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
@@ -410,14 +418,20 @@ def walk_branch(tree: FinitaryTree, tail_id: int, base, k: int, side: int):
 # ---------------------------------------------------------------------------
 # embeddings
 
-@dataclass(frozen=True)
-class TreeEmbedding:
-    dom: FinitaryTree
-    cod: FinitaryTree
-    explicit_images: tuple  # address per explicit source node
-    tail_routes: tuple[tuple[int, int, int], ...]  # (src tail, tgt tail, entry)
+class TreeEmbedding(Value):
+    """explicit_images holds an address per explicit source node,
+    tail_routes a (source tail, target tail, entry) row per source tail."""
 
-    site: ClassVar[str] = "itree"
+    _fields = ("dom", "cod", "explicit_images", "tail_routes")
+    site = "itree"
+
+    def __init__(self, dom: FinitaryTree, cod: FinitaryTree,
+                 explicit_images: tuple,
+                 tail_routes: tuple[tuple[int, int, int], ...]):
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "explicit_images", explicit_images)
+        object.__setattr__(self, "tail_routes", tail_routes)
 
     @cached_property
     def targets(self) -> dict[int, int]:
@@ -434,10 +448,18 @@ class TreeEmbedding:
 
     @cached_property
     def _hash(self) -> int:
-        """The dataclass hash of the fields, computed once: audits look
+        """The hash of the field tuple, computed once: audits look
         embeddings up in their memo again and again."""
         return hash((self.dom, self.cod, self.explicit_images,
                      self.tail_routes))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dom, self.cod, self.explicit_images,
+                    self.tail_routes) == (other.dom, other.cod,
+                                          other.explicit_images,
+                                          other.tail_routes)
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash

@@ -19,10 +19,9 @@ back unknown.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .atoms import AtomMap, FormalAtom
-from .core import (AutGroup, SiteError, aut_group, backend, backend_of,
+from .core import (AutGroup, SiteError, Value, aut_group, backend, backend_of,
                    compose, decode_object, encode_object, hom_set, identity,
                    is_identity, is_int, is_iso, morphism_key, object_key,
                    pullback, rank, sort_key, subgroup_generated)
@@ -32,20 +31,22 @@ class ClosureError(SiteError):
     """The fragment does not list an object or arrow the operation needs."""
 
 
-@dataclass(frozen=True)
-class CheckVerdict:
+class CheckVerdict(Value):
     """Outcome of a bounded check.
 
     status is "pass", "fail" or "unknown"; fail witnesses replay: running
     the same instance at the same depth reproduces the violation.
+    Equality and hashing ignore the witness.
     """
 
-    status: str
-    witness: dict = field(compare=False)
-    depth_used: int = 0
+    _fields = ("status", "witness", "depth_used")
+    _compare = ("status", "depth_used")
 
-    def __post_init__(self):
-        if self.status not in ("pass", "fail", "unknown"):
+    def __init__(self, status: str, witness: dict, depth_used: int = 0):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "depth_used", depth_used)
+        if status not in ("pass", "fail", "unknown"):
             raise SiteError("verdict status must be pass, fail or unknown")
 
     def __bool__(self) -> bool:
@@ -55,8 +56,7 @@ class CheckVerdict:
 # ---------------------------------------------------------------------------
 # fragments
 
-@dataclass(frozen=True)
-class PresheafFragment:
+class PresheafFragment(Value):
     """Finitely many objects with element lists and arrow actions.
 
     elements maps each listed object key to its ordered element names;
@@ -65,18 +65,21 @@ class PresheafFragment:
     every composable listed pair whose composite is listed.
     """
 
-    site: str
-    objects: tuple
-    elements: tuple[tuple[str, tuple[str, ...]], ...]
-    action: tuple[tuple[str, tuple[int, ...]], ...]
+    _fields = ("site", "objects", "elements", "action")
 
-    def __post_init__(self):
-        els = dict(self.elements)
-        act = dict(self.action)
-        if len(els) != len(self.elements) or len(act) != len(self.action):
+    def __init__(self, site: str, objects: tuple,
+                 elements: tuple[tuple[str, tuple[str, ...]], ...],
+                 action: tuple[tuple[str, tuple[int, ...]], ...]):
+        object.__setattr__(self, "site", site)
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "action", action)
+        els = dict(elements)
+        act = dict(action)
+        if len(els) != len(elements) or len(act) != len(action):
             raise SiteError("duplicate object or arrow key in fragment")
         by_key = {}
-        for obj in self.objects:
+        for obj in objects:
             key = object_key(obj)
             if key in by_key:
                 raise SiteError("fragment lists object %s twice" % key)
@@ -90,8 +93,8 @@ class PresheafFragment:
         object.__setattr__(self, "_els", els)
         object.__setattr__(self, "_act", act)
         listed = {}  # arrow key -> arrow, for every listed arrow
-        for a in self.objects:
-            for b in self.objects:
+        for a in objects:
+            for b in objects:
                 for f in hom_set(a, b):
                     key = morphism_key(f)
                     if key in act:
@@ -349,15 +352,19 @@ def stabilizer(frag: PresheafFragment, x, p: str) -> AutGroup:
     return subgroup_generated(x, fixing)
 
 
-@dataclass(frozen=True)
-class AtomComponent:
-    atom: FormalAtom
-    members: tuple[tuple[str, str], ...]
+class AtomComponent(Value):
+    _fields = ("atom", "members")
+
+    def __init__(self, atom: FormalAtom, members: tuple[tuple[str, str], ...]):
+        object.__setattr__(self, "atom", atom)
+        object.__setattr__(self, "members", members)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    components: tuple[AtomComponent, ...]
+class Decomposition(Value):
+    _fields = ("components",)
+
+    def __init__(self, components: tuple[AtomComponent, ...]):
+        object.__setattr__(self, "components", components)
 
     def describe(self) -> list[tuple[str, str]]:
         return [c.atom.describe() for c in self.components]
@@ -542,8 +549,7 @@ def self_intersection_check(f, depth: int) -> CheckVerdict:
                                  "pair_bound_exhaustive": covered}, depth)
 
 
-@dataclass(frozen=True)
-class KResult:
+class KResult(Value):
     """Iterated-pullback closure of a monomorphism.
 
     k receives the domain of f via unit and includes into the codomain
@@ -552,12 +558,16 @@ class KResult:
     reached with an exhaustive pair bound.
     """
 
-    k: object
-    j: object
-    unit: object
-    group: AutGroup
-    steps: tuple
-    verdict: CheckVerdict
+    _fields = ("k", "j", "unit", "group", "steps", "verdict")
+
+    def __init__(self, k, j, unit, group: AutGroup, steps: tuple,
+                 verdict: CheckVerdict):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "verdict", verdict)
 
 
 def compute_K(f, depth: int) -> KResult:

@@ -116,7 +116,7 @@ def tree_index_problems(tree) -> list[str]:
 
 def embedding_hash_problems(emb) -> list[str]:
     """The stored hash of a tree embedding, when it differs from the
-    dataclass hash of its fields."""
+    hash of the tuple of its fields."""
     want = hash((emb.dom, emb.cod, emb.explicit_images, emb.tail_routes))
     if hash(emb) != want:
         return ["stored embedding hash %r differs from %r" % (hash(emb), want)]

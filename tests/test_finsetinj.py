@@ -19,7 +19,6 @@ from atomkit import (
     make_injection,
     pullback,
 )
-from atomkit.finsetinj import complement_positions
 
 
 def test_make_injection_validates():
@@ -46,12 +45,6 @@ def test_hom_set_counts_are_falling_factorials():
 def test_aut_orders_are_factorials():
     for n in range(6):
         assert len(aut_group(FinSet(n)).elements) == math.factorial(n)
-
-
-def test_complement_positions():
-    assert complement_positions(make_injection(1, 2, (0,))) == (1,)
-    assert complement_positions(make_injection(2, 2, (1, 0))) == ()
-    assert complement_positions(make_injection(1, 3, (2,))) == (0, 1)
 
 
 def test_objects_up_to():
