@@ -15,7 +15,7 @@ from .core import (Span, SiteError, Value, amalgamate, aut_group, backend,
                    backend_of, compose, hom_set, identity, is_iso,
                    morphism_key, object_key, pullback, rank,
                    subgroup_generated)
-from .presheaf import CheckVerdict, _equalized_pairs
+from .presheaf import CheckVerdict
 
 
 class AuditReport(Value):
@@ -148,35 +148,120 @@ def verify_chain(square, u, v, w, chain, *, memo: _Memo | None = None) -> bool:
     return True
 
 
+class _ClassTables(dict):
+    """The class tables of the arrows h into one ambient object z, each
+    built on first use.
+
+    arrows lists the arrows out of z in hom-set order, one hom-set after
+    another; groups holds the range of each hom-set in that list.  The
+    table of h is (cls, agree): cls[n] is the index of the first arrow a
+    with h;a == h;arrows[n], one memo composite per arrow, and agree[n]
+    lists, in hom-set order, the arrows of the n-th arrow's hom-set that
+    share its class.
+    """
+
+    def __init__(self, arrows: list, groups: list, memo: _Memo):
+        super().__init__()
+        self.arrows, self.groups, self.memo = arrows, groups, memo
+
+    def __missing__(self, h) -> tuple:
+        first: dict = {}
+        cls = [first.setdefault(self.memo.compose(h, a), n)
+               for n, a in enumerate(self.arrows)]
+        agree = []
+        for grp in self.groups:
+            members: dict = {}
+            for n in grp:
+                members.setdefault(cls[n], []).append(n)
+            agree += [members[cls[n]] for n in grp]
+        self[h] = cls, agree
+        return cls, agree
+
+
 def audit_c2prime(site: str, bound: int) -> AuditReport:
     """For every pullback square and agreeing pair within bound, build
     and verify a zig-zag chain.
 
-    One memo serves the whole call, so each composite is computed once.
-    The pairs agreeing on the square's meet come from one grouping of
-    each hom-set by their composite with it, in hom-set (u, v) order.
+    The rows are those of the plain loop: for each ambient object z,
+    each ordered pair of legs (f, g) into z with meet m = to_left;f,
+    each hom-set out of z and each u, v in it with m;u == m;v, in
+    hom-set order.  One memo serves the whole call.  For each z the
+    arrows out of z are listed once, and every arrow h into z that the
+    loop meets (each leg, each distinct meet) gets one class table (see
+    _ClassTables).  Each test of c2prime_chain and verify_chain becomes
+    a comparison of indices:
+
+    - u and v are parallel and agree on the meet exactly when v is in
+      the agree list of u in the meet's table;
+    - u == v when they have the same index;
+    - the length-2 chain (u, v) links when cls[u] == cls[v] in the table
+      of f or in that of g;
+    - u;id == u is composed once per arrow u out of z, and decides the
+      rows of length 1 and 2, whose w is the identity on the target.
+
+    Only rows that need the site's zigzag call c2prime_chain and
+    verify_chain, which run every check on the square.
+
+    One pullback is computed per unordered pair of legs: the rows of
+    (g, f) reuse the meet of (f, g).  Both squares are pullbacks of the
+    same cospan with the legs swapped, so the unique iso s from the apex
+    of (g, f) to the apex of (f, g) with s;to_left = to_right' and
+    s;to_right = to_left' gives to_left';g = s;to_right;g = s;to_left;f:
+    the meets differ by the iso s.  As s is invertible, s;m;u == s;m;v
+    exactly when m;u == m;v, so both meets group every hom-set out of z
+    the same way.  The (g, f) square is built only when one of its rows
+    needs the zigzag, and c2prime_chain then checks the agreement on its
+    own meet.
     """
     objects = backend(site).objects_up_to(bound)
     memo = _Memo()
     rows = []
     for z in objects:
+        arrows, groups = [], []
+        for a in objects:
+            hom = memo.homs(z, a)
+            groups.append(range(len(arrows), len(arrows) + len(hom)))
+            arrows += hom
+        keys = ["|" + morphism_key(u) for u in arrows]
+        unit, targets = [], []
+        for u in arrows:
+            ident = memo.identity(u.cod)
+            unit.append(memo.compose(u, ident) == u)
+            targets.append(object_key(ident.cod))
+        tables = _ClassTables(arrows, groups, memo)
         legs = [m for x in objects for m in memo.homs(x, z)]
-        for f in legs:
-            for g in legs:
-                square = pullback(f, g)
-                meet = memo.compose(square.to_left, f)
-                prefix = "zigzag|%s|%s|" % (morphism_key(f), morphism_key(g))
-                for u, agreeing in _equalized_pairs(meet, objects, memo.homs,
-                                                    memo.compose):
-                    for v in agreeing:
-                        key = prefix + "%s|%s" % (morphism_key(u),
-                                                  morphism_key(v))
-                        w, chain = c2prime_chain(square, u, v, memo=memo)
-                        good = verify_chain(square, u, v, w, chain, memo=memo)
-                        rows.append((key, CheckVerdict(
+        leg_keys = [morphism_key(f) for f in legs]
+        meets: dict = {}
+        for i, f in enumerate(legs):
+            cf = tables[f][0]
+            for j, g in enumerate(legs):
+                cg = tables[g][0]
+                if i > j:
+                    square, meet = None, meets.pop((i, j))
+                else:
+                    square = pullback(f, g)
+                    meet = meets[j, i] = memo.compose(square.to_left, f)
+                agree = tables[meet][1]
+                prefix = "zigzag|%s|%s" % (leg_keys[i], leg_keys[j])
+                for n, u in enumerate(arrows):
+                    for k in agree[n]:
+                        target = targets[n]
+                        if k == n:
+                            length, good = 1, unit[n]
+                        elif cf[n] == cf[k] or cg[n] == cg[k]:
+                            length, good = 2, unit[n] and unit[k]
+                        else:
+                            if square is None:
+                                square = pullback(f, g)
+                            v = arrows[k]
+                            w, chain = c2prime_chain(square, u, v, memo=memo)
+                            good = verify_chain(square, u, v, w, chain,
+                                                memo=memo)
+                            length, target = len(chain), object_key(w.cod)
+                        rows.append((prefix + keys[n] + keys[k], CheckVerdict(
                             "pass" if good else "fail",
-                            {"chain_length": len(chain),
-                             "target": object_key(w.cod)}, bound)))
+                            {"chain_length": length, "target": target},
+                            bound)))
     return AuditReport("C2prime", bound, tuple(rows))
 
 

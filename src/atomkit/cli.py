@@ -2,7 +2,9 @@
 
 One JSON object (or array) per invocation on standard output,
 diagnostics on standard error.  Exit status: 0 for success or a pass
-verdict, 1 for a fail or unknown verdict, 2 for unusable input.
+verdict, 1 for a fail or unknown verdict, 2 for unusable input, 3 for
+an internal error (any other exception, reported on one line of
+standard error without a traceback).
 """
 
 from __future__ import annotations
@@ -406,6 +408,11 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print("error: missing field %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__,
+                                          " ".join(str(exc).splitlines())),
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -426,14 +426,13 @@ def checker_objects(site: str, depth: int, seeds) -> list:
     return backend(site).checker_objects(depth, tuple(seeds))
 
 
-def _equalized_pairs(m, objects, homs=hom_set, then=compose):
+def _equalized_pairs(m, objects):
     """Every pair alpha, beta: cod(m) => x with m;alpha = m;beta, for x in
     objects, as (alpha, the betas that agree with it), both in hom-set
-    order; alpha is one of its own betas.  homs and then stand for
-    hom_set and compose, so an audit can pass its memo of both."""
+    order; alpha is one of its own betas."""
     for x in objects:
-        arrows = homs(m.cod, x)
-        through = [then(m, a) for a in arrows]
+        arrows = hom_set(m.cod, x)
+        through = [compose(m, a) for a in arrows]
         agree: dict = {}
         for a, ma in zip(arrows, through):
             agree.setdefault(ma, []).append(a)

@@ -36,6 +36,7 @@ from atomkit import (
 from atomkit import audit, itree
 from atomkit.audit import c2prime_chain, verify_chain
 from atomkit.core import backend_of
+from atomkit.finsetinj import FinSetInjBackend
 
 
 def test_audit_objects_counts():
@@ -255,7 +256,73 @@ def _reference_c2prime(site: str, bound: int) -> AuditReport:
     return AuditReport("C2prime", bound, tuple(rows))
 
 
-@pytest.mark.parametrize("site, bound", [("itree", 1), ("finsetinj", 2)])
+@pytest.mark.parametrize("site, bound", [("itree", 1), ("finsetinj", 2),
+                                         ("itree", 2), ("finsetinj", 3)])
 def test_c2prime_report_matches_the_plain_loop(site, bound):
     assert audit_c2prime(site, bound).to_json() \
         == _reference_c2prime(site, bound).to_json()
+
+
+def _fail_rows(report: AuditReport) -> list:
+    return [(key, v.witness) for key, v in report.verdicts
+            if v.status == "fail"]
+
+
+def test_a_zigzag_link_on_neither_leg_fails_the_same_rows(monkeypatch):
+    """Dropping the middle links leaves the one link (u;w, v;w), which
+    agrees on neither leg whenever the zigzag is needed: w is a mono."""
+    real = FinSetInjBackend.zigzag
+
+    def broken(self, square, u, v):
+        w, chain = real(self, square, u, v)
+        return w, (chain[0], chain[-1])
+
+    monkeypatch.setattr(FinSetInjBackend, "zigzag", broken)
+    report = audit_c2prime("finsetinj", 3)
+    fails = _fail_rows(report)
+    assert fails and all(w["chain_length"] == 2 for _k, w in fails)
+    assert fails == _fail_rows(_reference_c2prime("finsetinj", 3))
+    assert report.counts()["pass"] > 0
+
+
+def test_a_broken_identity_fails_the_same_rows(monkeypatch):
+    """The planted identity on 3 swaps 0 and 1, so u;id == u only for
+    the arrows u into 3 whose image misses both: rows of one hom-set
+    pass or fail by u and by v."""
+    real = FinSetInjBackend.identity
+
+    def broken(self, obj):
+        if obj == FinSet(3):
+            return make_injection(3, 3, (1, 0, 2))
+        return real(self, obj)
+
+    monkeypatch.setattr(FinSetInjBackend, "identity", broken)
+    report = audit_c2prime("finsetinj", 3)
+    fails = _fail_rows(report)
+    assert fails and all(w["target"] == "3" for _k, w in fails)
+    assert fails == _fail_rows(_reference_c2prime("finsetinj", 3))
+    assert report.counts()["pass"] > 0
+
+
+def _grouping(meet, arrows) -> list:
+    """For each arrow a, the index of the first a' with meet;a' == meet;a."""
+    first: dict = {}
+    return [first.setdefault(compose(meet, a), n)
+            for n, a in enumerate(arrows)]
+
+
+@pytest.mark.parametrize("site, bound", [("itree", 2), ("finsetinj", 3)])
+def test_swapped_squares_group_every_hom_set_alike(site, bound):
+    """The C2' audit reads the rows of (g, f) off the meet of (f, g)."""
+    objects = backend(site).objects_up_to(bound)
+    for z in objects:
+        legs = [m for x in objects for m in hom_set(x, z)]
+        outs = [hom_set(z, a) for a in objects]
+        for i, f in enumerate(legs):
+            for g in legs[i + 1:]:
+                meets = [compose(sq.to_left, sq.left)
+                         for sq in (pullback(f, g), pullback(g, f))]
+                assert meets[0].cod == meets[1].cod == z
+                for arrows in outs:
+                    assert _grouping(meets[0], arrows) \
+                        == _grouping(meets[1], arrows)

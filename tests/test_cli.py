@@ -1,5 +1,6 @@
 """Command-line surface: JSON-only standard output, deterministic bytes,
-and the documented exit-code policy (0 pass, 1 fail verdict, 2 usage)."""
+and the documented exit-code policy (0 pass, 1 fail verdict, 2 usage,
+3 internal error)."""
 
 import json
 import pathlib
@@ -21,6 +22,7 @@ from atomkit import (
     node,
     unordered_pairs_fragment,
 )
+from atomkit import cli
 from atomkit.cli import main
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -280,3 +282,14 @@ def test_trees_deeper_than_the_limit_are_usage_errors(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: tree is deeper than 256 levels\n"
+
+
+def test_an_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("planted\nfault")
+
+    monkeypatch.setattr(cli, "run_audit", broken)
+    assert main(["audit", "--condition", "c3", "--site", "itree"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: planted fault\n"
