@@ -204,10 +204,11 @@ def audit_c2prime(site: str, bound: int) -> AuditReport:
 
     One pullback is computed per unordered pair of legs: the rows of
     (g, f) reuse the meet of (f, g).  Both squares are pullbacks of the
-    same cospan with the legs swapped, so the unique iso s from the apex
-    of (g, f) to the apex of (f, g) with s;to_left = to_right' and
-    s;to_right = to_left' gives to_left';g = s;to_right;g = s;to_left;f:
-    the meets differ by the iso s.  As s is invertible, s;m;u == s;m;v
+    same cospan with the legs swapped, so with primes marking the
+    projections of (g, f), the unique iso s from the apex of (g, f) to
+    the apex of (f, g) with s;to_left = to_right' and s;to_right =
+    to_left' gives to_left';g = s;to_right;g = s;to_left;f: the meets
+    differ by the iso s.  As s is invertible, s;m;u == s;m;v
     exactly when m;u == m;v, so both meets group every hom-set out of z
     the same way.  The (g, f) square is built only when one of its rows
     needs the zigzag, and c2prime_chain then checks the agreement on its
