@@ -19,6 +19,14 @@ from .presheaf import CheckVerdict
 
 
 class AuditReport(Value):
+    """The (instance key, verdict) rows of one audit, in loop order.
+
+    Rows with equal verdicts may share one CheckVerdict, and so one
+    witness dict: audit_c1 builds one per cocone key and audit_c2prime
+    one per (status, chain length, target).  Witnesses are read-only;
+    to_json hands them out as they are.
+    """
+
     _fields = ("condition", "bound", "verdicts")
 
     def __init__(self, condition: str, bound: int,
@@ -91,15 +99,19 @@ def audit_c1(site: str, bound: int) -> AuditReport:
     objects = backend(site).objects_up_to(bound)
     homs = _Memo().homs
     rows = []
+    passes: dict = {}  # cocone key -> its one verdict in this report
     for a in objects:
         for b in objects:
             for f in homs(a, b):
                 for x in objects:
                     for g in homs(a, x):
                         key = "span|%s|%s" % (morphism_key(f), morphism_key(g))
-                        cone = amalgamate(Span(f, g))
-                        rows.append((key, CheckVerdict(
-                            "pass", {"cocone": object_key(cone.obj)}, bound)))
+                        cocone = object_key(amalgamate(Span(f, g)).obj)
+                        verdict = passes.get(cocone)
+                        if verdict is None:
+                            verdict = passes[cocone] = CheckVerdict(
+                                "pass", {"cocone": cocone}, bound)
+                        rows.append((key, verdict))
     for a in objects:
         for b in objects:
             for m in homs(a, b):
@@ -217,6 +229,7 @@ def audit_c2prime(site: str, bound: int) -> AuditReport:
     objects = backend(site).objects_up_to(bound)
     memo = _Memo()
     rows = []
+    verdicts: dict = {}  # (good, length, target) -> its one verdict
     for z in objects:
         arrows, groups = [], []
         for a in objects:
@@ -259,10 +272,13 @@ def audit_c2prime(site: str, bound: int) -> AuditReport:
                             good = verify_chain(square, u, v, w, chain,
                                                 memo=memo)
                             length, target = len(chain), object_key(w.cod)
-                        rows.append((prefix + keys[n] + keys[k], CheckVerdict(
-                            "pass" if good else "fail",
-                            {"chain_length": length, "target": target},
-                            bound)))
+                        verdict = verdicts.get((good, length, target))
+                        if verdict is None:
+                            verdict = verdicts[good, length, target] = \
+                                CheckVerdict("pass" if good else "fail",
+                                             {"chain_length": length,
+                                              "target": target}, bound)
+                        rows.append((prefix + keys[n] + keys[k], verdict))
     return AuditReport("C2prime", bound, tuple(rows))
 
 
@@ -301,16 +317,16 @@ def audit_c3(site: str, bound: int = 0, chains=None) -> AuditReport:
                 {"length": len(chain), "steps": steps}, bound)))
         return AuditReport("C3", bound, tuple(rows))
     objects = backend(site).objects_up_to(bound)
-    for s in objects:
-        for t in objects:
+    ranks = [rank(x) for x in objects]
+    for s, rs in zip(objects, ranks):
+        for t, rt in zip(objects, ranks):
             for m in hom_set(s, t):
                 if is_iso(m):
                     continue
-                good = rank(s) < rank(t)
                 rows.append(("mono|%s" % morphism_key(m), CheckVerdict(
-                    "pass" if good else "fail",
-                    {"below": list(rank(s).components),
-                     "above": list(rank(t).components)}, bound)))
+                    "pass" if rs < rt else "fail",
+                    {"below": list(rs.components),
+                     "above": list(rt.components)}, bound)))
     return AuditReport("C3", bound, tuple(rows))
 
 

@@ -65,7 +65,10 @@ class FinitaryTree(Value):
         paths     tail id -> explicit ids from the root down to the tail
         key       the object_key string
 
-    and the hash of the fields, which __hash__ returns.
+    and the hash of the fields, which __hash__ returns.  The per-node
+    tables child_addrs, comb_tails and label_sets are computed on first
+    use instead: most trees an audit freezes are amalgams that nothing
+    queries.
     """
 
     _fields = ("kinds", "children", "labels")
@@ -74,13 +77,52 @@ class FinitaryTree(Value):
     def __init__(self, kinds: tuple[str, ...],
                  children: tuple[tuple[int, int] | None, ...],
                  labels: tuple[str | None, ...]):
-        object.__setattr__(self, "kinds", kinds)
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "labels", labels)
+        self.__dict__.update(kinds=kinds, children=children, labels=labels)
 
     @property
     def n_nodes(self) -> int:
         return len(self.kinds)
+
+    @cached_property
+    def child_addrs(self) -> tuple:
+        """Per explicit node, what denoted_children returns there."""
+        return tuple([((0, ch[0]), (0, ch[1])) if kind == INTERNAL
+                      else ((1, i, 1, 0), (1, i, 1, 1)) if kind == TAIL
+                      else None
+                      for i, (kind, ch) in enumerate(zip(self.kinds,
+                                                         self.children))])
+
+    @cached_property
+    def comb_tails(self) -> tuple[int | None, ...]:
+        """Per explicit node, what comb_view returns there."""
+        return self._subtree_tables()[0]
+
+    @cached_property
+    def label_sets(self) -> tuple[frozenset[str], ...]:
+        """Per explicit node, the labels of the tails below it."""
+        return self._subtree_tables()[1]
+
+    def _subtree_tables(self) -> tuple[tuple, tuple]:
+        """Both subtree tables, filled bottom-up in one reverse-preorder
+        loop (preorder numbers every child after its parent); the first
+        of the two properties read stores the other one as well."""
+        kinds, children, labels = self.kinds, self.children, self.labels
+        combs: list = [None] * len(kinds)
+        below: list = [frozenset()] * len(kinds)
+        for i in range(len(kinds) - 1, -1, -1):
+            kind = kinds[i]
+            if kind == TAIL:
+                combs[i], below[i] = i, frozenset((labels[i],))
+            elif kind == INTERNAL:
+                a, b = children[i]
+                if combs[a] is not None and kinds[b] == LEAF:
+                    combs[i] = combs[a]
+                elif combs[b] is not None and kinds[a] == LEAF:
+                    combs[i] = combs[b]
+                below[i] = below[a] | below[b]
+        tables = tuple(combs), tuple(below)
+        self.__dict__.update(comb_tails=tables[0], label_sets=tables[1])
+        return tables
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -112,35 +154,42 @@ class _N:
 
 
 def _freeze(root: _N) -> tuple[FinitaryTree, list[_N]]:
-    """Number a scratch tree in preorder; order[i] became node i.  The
-    same walk builds every per-tree index the value carries."""
-    kinds, children, labels, parents, order = [], [], [], [], []
-    paths: dict[int, tuple[int, ...]] = {}
-
-    def go(n, above: tuple[int, ...]) -> str:
-        idx = len(kinds)
+    """Number a scratch tree in preorder; order[i] became node i.  One
+    preorder walk and one pass back over it build every per-tree index
+    the value carries."""
+    order, parents = [], []
+    stack = [(root, None)]
+    while stack:
+        n, p = stack.pop()
+        if n.kind == INTERNAL:
+            stack += ((n.kids[1], len(order)), (n.kids[0], len(order)))
         order.append(n)
-        kinds.append(n.kind), children.append(None), labels.append(n.label)
-        parents.append(above[-1] if above else None)
-        here = above + (idx,)
-        if n.kind == LEAF:
-            return "L"
-        if n.kind == TAIL:
-            paths[idx] = here
-            return "T(%s)" % n.label
-        a = len(kinds)
-        ka = go(n.kids[0], here)
-        b = len(kinds)
-        kb = go(n.kids[1], here)
-        children[idx] = (a, b)
-        return "(%s %s)" % (ka, kb)
-
-    key = go(root, ())
-    fields = (tuple(kinds), tuple(children), tuple(labels))
+        parents.append(p)
+    kinds = tuple([n.kind for n in order])
+    labels = tuple([n.label for n in order])
+    children: list = [None] * len(order)
+    sizes, keys = [1] * len(order), [""] * len(order)
+    for i in range(len(order) - 1, -1, -1):
+        kind = kinds[i]
+        if kind == INTERNAL:
+            a = i + 1
+            b = a + sizes[a]
+            children[i] = (a, b)
+            sizes[i] += sizes[a] + sizes[b]
+            keys[i] = "(%s %s)" % (keys[a], keys[b])
+        else:
+            keys[i] = "L" if kind == LEAF else "T(%s)" % labels[i]
+    paths: dict[int, tuple[int, ...]] = {}
+    for t, kind in enumerate(kinds):
+        if kind == TAIL:
+            path = [t]
+            while parents[path[-1]] is not None:
+                path.append(parents[path[-1]])
+            paths[t] = tuple(path[::-1])
+    fields = (kinds, tuple(children), labels)
     tree = FinitaryTree(*fields)
-    for name, value in (("parents", tuple(parents)), ("tail_ids", tuple(paths)),
-                        ("paths", paths), ("key", key), ("_hash", hash(fields))):
-        object.__setattr__(tree, name, value)
+    tree.__dict__.update(parents=tuple(parents), tail_ids=tuple(paths),
+                         paths=paths, key=keys[0], _hash=hash(fields))
     return tree, order
 
 
@@ -321,14 +370,7 @@ def branch_index(tree: FinitaryTree, tail_id: int, addr) -> int | None:
 def denoted_children(tree: FinitaryTree, addr):
     """The unordered child pair of a denoted node, None on denoted leaves."""
     if addr[0] == 0:
-        nid = addr[1]
-        kind = tree.kinds[nid]
-        if kind == INTERNAL:
-            a, b = tree.children[nid]
-            return ((0, a), (0, b))
-        if kind == TAIL:
-            return ((1, nid, 1, 0), (1, nid, 1, 1))
-        return None
+        return tree.child_addrs[addr[1]]
     _, t, k, side = addr
     if side == 1:
         return None
@@ -351,18 +393,7 @@ def comb_view(tree: FinitaryTree, addr) -> int | None:
     None."""
     if addr[0] == 1:
         return addr[1] if addr[3] == 0 else None
-    nid = addr[1]
-    kind = tree.kinds[nid]
-    if kind != INTERNAL:
-        return nid if kind == TAIL else None
-    a, b = tree.children[nid]
-    ta = comb_view(tree, (0, a))
-    if ta is not None and tree.kinds[b] == LEAF:
-        return ta
-    tb = comb_view(tree, (0, b))
-    if tb is not None and tree.kinds[a] == LEAF:
-        return tb
-    return None
+    return tree.comb_tails[addr[1]]
 
 
 def comb_children(tree: FinitaryTree, addr):
@@ -390,13 +421,7 @@ def comb_layout(tree: FinitaryTree, nid: int) -> tuple[tuple[int, int, int], ...
 def labels_below(tree: FinitaryTree, addr) -> frozenset[str]:
     if addr[0] == 1:
         return frozenset((tree.labels[addr[1]],)) if addr[3] == 0 else frozenset()
-    todo, found = [addr[1]], set()
-    while todo:
-        nid = todo.pop()
-        if tree.kinds[nid] == TAIL:
-            found.add(tree.labels[nid])
-        todo.extend(tree.children[nid] or ())
-    return frozenset(found)
+    return tree.label_sets[addr[1]]
 
 
 def walk_branch(tree: FinitaryTree, tail_id: int, base, k: int, side: int):
@@ -428,15 +453,8 @@ class TreeEmbedding(Value):
     def __init__(self, dom: FinitaryTree, cod: FinitaryTree,
                  explicit_images: tuple,
                  tail_routes: tuple[tuple[int, int, int], ...]):
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "explicit_images", explicit_images)
-        object.__setattr__(self, "tail_routes", tail_routes)
-
-    @cached_property
-    def targets(self) -> dict[int, int]:
-        """Source tail -> the target tail its continuation follows."""
-        return {t: s for t, s, _e in self.tail_routes}
+        self.__dict__.update(dom=dom, cod=cod, explicit_images=explicit_images,
+                             tail_routes=tail_routes)
 
     @cached_property
     def key(self) -> str:
@@ -465,11 +483,13 @@ class TreeEmbedding(Value):
         return self._hash
 
     def route(self, t: int) -> int:
-        """The target tail whose branch the continuation of tail t follows."""
-        try:
-            return self.targets[t]
-        except KeyError:
-            raise SiteError("source node %d is not a routed tail" % t) from None
+        """The target tail whose branch the continuation of tail t follows.
+        A scan of the few routes costs less than building a table on each
+        new embedding."""
+        for source, target, _e in self.tail_routes:
+            if source == t:
+                return target
+        raise SiteError("source node %d is not a routed tail" % t)
 
     def image(self, addr):
         if addr[0] == 0:
@@ -495,12 +515,13 @@ class TreeEmbedding(Value):
 
 def make_embedding(dom: FinitaryTree, cod: FinitaryTree, images,
                    route_targets: dict[int, int]) -> TreeEmbedding:
-    """Build an embedding; entry offsets are derived from the images."""
+    """Build an embedding; entry offsets are derived from the images.
+    The routes follow dom.tail_ids, which is ascending."""
     routes = []
     for t in dom.tail_ids:
         img = images[t]
         routes.append((t, route_targets[t], img[2] if img[0] == 1 else 0))
-    return TreeEmbedding(dom, cod, tuple(images), tuple(sorted(routes)))
+    return TreeEmbedding(dom, cod, tuple(images), tuple(routes))
 
 
 def identity_embedding(tree: FinitaryTree) -> TreeEmbedding:
@@ -719,12 +740,6 @@ def tree_amalgamate(span: Span) -> Cocone:
     X, A, B = span.apex, f.cod, g.cod
 
     def merge(x, a, b) -> _N:
-        if x is not None and denoted_children(X, x) is None:
-            x = None
-        if b is None:
-            return _carve(A, a, "a")
-        if a is None:
-            return _carve(B, b, "b")
         da, db = denoted_children(A, a), denoted_children(B, b)
         if da is None and db is None:
             return _N(LEAF, meta={"a": a, "b": b})
@@ -735,13 +750,14 @@ def tree_amalgamate(span: Span) -> Cocone:
             return n
         ta, tb = comb_view(A, a), comb_view(B, b)
         combs = ta is not None and tb is not None
-        if x is not None:
+        dx = None if x is None else denoted_children(X, x)
+        if dx is not None:
             # inside the apex image the legs force the pairing of children;
             # a comb merge is only allowed where the apex itself continues
             # as a comb, so that both routes follow one identified branch
-            if comb_view(X, x) is not None and combs:
+            if combs and comb_view(X, x) is not None:
                 return _N(TAIL, A.labels[ta], meta={"a": a, "b": b})
-            x1, x2 = denoted_children(X, x)
+            x1, x2 = dx
             kids = [merge(x1, f.image(x1), g.image(x1)),
                     merge(x2, f.image(x2), g.image(x2))]
         elif combs:
@@ -752,11 +768,10 @@ def tree_amalgamate(span: Span) -> Cocone:
             kids = [merge(None, ac, bo), merge(None, ao, bc)]
         else:
             (a1, a2), (b1, b2) = da, db
-            straight = (len(labels_below(A, a1) & labels_below(B, b1))
-                        + len(labels_below(A, a2) & labels_below(B, b2)))
-            swapped = (len(labels_below(A, a1) & labels_below(B, b2))
-                       + len(labels_below(A, a2) & labels_below(B, b1)))
-            if swapped > straight:
+            la1, la2 = labels_below(A, a1), labels_below(A, a2)
+            lb1, lb2 = labels_below(B, b1), labels_below(B, b2)
+            if (len(la1 & lb2) + len(la2 & lb1)
+                    > len(la1 & lb1) + len(la2 & lb2)):
                 b1, b2 = b2, b1
             kids = [merge(None, a1, b1), merge(None, a2, b2)]
         return _N(INTERNAL, kids=kids, meta={"a": a, "b": b})

@@ -5,8 +5,9 @@ against test objects.  tree_table_problems and injection_problems
 restate the shape invariants that the FinitaryTree and Injection
 constructors do not check, so tests can hold every value the library
 assembles to them; tree_index_problems recomputes the indices _freeze
-stores on every tree, and embedding_hash_problems the hash an embedding
-stores.
+stores on every tree and the subtree tables it computes on first use,
+embedding_hash_problems the hash an embedding stores, and
+tail_route_problems the order make_embedding gives the tail routes.
 """
 
 from atomkit import compose, hom_set, object_key
@@ -84,7 +85,9 @@ def tree_table_problems(tree) -> list[str]:
 def tree_index_problems(tree) -> list[str]:
     """Every stored per-tree index that differs from the one recomputed
     from the node table: the parent map, the tail ids, the branch path of
-    each tail, the object_key string and the hash of the fields."""
+    each tail, the object_key string, the hash of the fields, the denoted
+    children of each node, and the two subtree tables, each recomputed by
+    a walk below every node."""
     parents = [None] * len(tree.kinds)
     for i, ch in enumerate(tree.children):
         for c in ch or ():
@@ -105,11 +108,44 @@ def tree_index_problems(tree) -> list[str]:
         a, b = tree.children[i]
         return "(%s %s)" % (key(a), key(b))
 
+    def child_addrs(i):
+        if tree.kinds[i] == INTERNAL:
+            return tuple((0, c) for c in tree.children[i])
+        if tree.kinds[i] == TAIL:
+            return ((1, i, 1, 0), (1, i, 1, 1))
+        return None
+
+    def comb(i):
+        """The tail id when the subtree below i is a pure continuation."""
+        if tree.kinds[i] != INTERNAL:
+            return i if tree.kinds[i] == TAIL else None
+        a, b = tree.children[i]
+        if comb(a) is not None and tree.kinds[b] == LEAF:
+            return comb(a)
+        if comb(b) is not None and tree.kinds[a] == LEAF:
+            return comb(b)
+        return None
+
+    def labels(i):
+        todo, found = [i], set()
+        while todo:
+            j = todo.pop()
+            if tree.kinds[j] == TAIL:
+                found.add(tree.labels[j])
+            todo.extend(tree.children[j] or ())
+        return frozenset(found)
+
+    nodes = range(len(tree.kinds))
     want = {"parents": tuple(parents), "tail_ids": tails, "paths": paths,
             "key": key(0),
-            "hash": hash((tree.kinds, tree.children, tree.labels))}
+            "hash": hash((tree.kinds, tree.children, tree.labels)),
+            "child_addrs": tuple(child_addrs(i) for i in nodes),
+            "comb_tails": tuple(comb(i) for i in nodes),
+            "label_sets": tuple(labels(i) for i in nodes)}
     got = {"parents": tree.parents, "tail_ids": tree.tail_ids,
-           "paths": tree.paths, "key": object_key(tree), "hash": hash(tree)}
+           "paths": tree.paths, "key": object_key(tree), "hash": hash(tree),
+           "child_addrs": tree.child_addrs, "comb_tails": tree.comb_tails,
+           "label_sets": tree.label_sets}
     return ["stored %s %r differs from %r" % (name, got[name], want[name])
             for name in want if got[name] != want[name]]
 
@@ -120,6 +156,16 @@ def embedding_hash_problems(emb) -> list[str]:
     want = hash((emb.dom, emb.cod, emb.explicit_images, emb.tail_routes))
     if hash(emb) != want:
         return ["stored embedding hash %r differs from %r" % (hash(emb), want)]
+    return []
+
+
+def tail_route_problems(emb) -> list[str]:
+    """The tail routes of a tree embedding, when they are not ascending
+    by source tail."""
+    sources = [t for t, _s, _e in emb.tail_routes]
+    if any(a >= b for a, b in zip(sources, sources[1:])):
+        return ["tail routes %r are not ascending by source tail"
+                % (emb.tail_routes,)]
     return []
 
 

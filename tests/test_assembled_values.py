@@ -2,19 +2,22 @@
 FinitaryTree and Injection constructors trust instead of checking: the
 tree-table and injection-shape checks of checks.py, and check_embedding
 for tree embeddings.  Every tree also carries the indices that _freeze
-stores, equal to the ones recomputed from its node table, and every
-embedding the hash of its fields."""
+stores and the subtree tables, equal to the ones recomputed from its
+node table, and every embedding the hash of its fields and its tail
+routes ascending by source tail (make_embedding relies on the order of
+tail_ids instead of sorting them)."""
 
 import pytest
 
 from atomkit import (FinitaryTree, FinSet, Injection, SiteError, Span,
                      amalgamate, backend, build, compose, decode_object,
                      encode_object, hom_set, leaf, node, pullback, tail)
-from atomkit.itree import (canonical_form, check_embedding,
+from atomkit.itree import (canonical_form, check_embedding, enumerate_trees,
                            regular_mono_witness, subtree_at)
 
 from checks import (embedding_hash_problems, injection_problems,
-                    tree_index_problems, tree_table_problems)
+                    tail_route_problems, tree_index_problems,
+                    tree_table_problems)
 
 BOUND = 2
 
@@ -31,7 +34,7 @@ def _problems(value) -> list:
     if isinstance(value, Injection):
         return injection_problems(value)
     found = (_tree_problems(value.dom) + _tree_problems(value.cod)
-             + embedding_hash_problems(value))
+             + embedding_hash_problems(value) + tail_route_problems(value))
     if not found:
         try:
             check_embedding(value)
@@ -59,11 +62,12 @@ def _assembled(pool) -> list:
 
 
 def _tree_only(pool) -> list:
-    """canonical_form (also of comb-padded encodings), subtree_at at every
-    explicit node and first comb step, and regular_mono_witness."""
+    """Comb-padded encodings, whose combs run through internal nodes,
+    canonical_form (also of those), subtree_at at every explicit node and
+    first comb step, and regular_mono_witness."""
     padded = [build(node(tail("i"), leaf())),
               build(node(leaf(), node(leaf(), tail("j"))))]
-    made = []
+    made = list(padded)
     for t in pool + padded:
         made.append(canonical_form(t))
         addrs = [(0, i) for i in range(t.n_nodes)]
@@ -89,3 +93,11 @@ def test_assembled_values_keep_the_constructor_invariants(site):
     assert len(made) > len(pool)
     bad = [(v, p) for v in made for p in _problems(v)]
     assert bad == []
+
+
+def test_enumerated_trees_keep_the_tree_invariants():
+    """Larger trees than the audit pool: up to three tails and seven
+    explicit nodes."""
+    trees = enumerate_trees(3, 7, ("i", "j"))
+    assert len(trees) > len(backend("itree").objects_up_to(BOUND))
+    assert [(t.key, p) for t in trees for p in _tree_problems(t)] == []

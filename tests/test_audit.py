@@ -9,6 +9,8 @@ from atomkit import (
     CheckVerdict,
     FinSet,
     SiteError,
+    Span,
+    amalgamate,
     atom_chain,
     audit_c1,
     audit_c2prime,
@@ -17,6 +19,7 @@ from atomkit import (
     aut_group,
     backend,
     build,
+    canonical_json,
     compose,
     enumerate_embeddings,
     extend_parallel_pair,
@@ -326,3 +329,68 @@ def test_swapped_squares_group_every_hom_set_alike(site, bound):
                 for arrows in outs:
                     assert _grouping(meets[0], arrows) \
                         == _grouping(meets[1], arrows)
+
+
+def _reference_c1(site: str, bound: int) -> AuditReport:
+    """The C1 audit as the plain loop: no memo, and a fresh verdict on
+    every row."""
+    objects = backend(site).objects_up_to(bound)
+    rows = []
+    for a in objects:
+        for b in objects:
+            for f in hom_set(a, b):
+                for x in objects:
+                    for g in hom_set(a, x):
+                        cone = amalgamate(Span(f, g))
+                        rows.append(("span|%s|%s" % (morphism_key(f),
+                                                     morphism_key(g)),
+                                     CheckVerdict("pass", {
+                                         "cocone": object_key(cone.obj)},
+                                         bound)))
+    for a in objects:
+        for b in objects:
+            for m in hom_set(a, b):
+                ok, witness = backend_of(m).regular_mono(m)
+                rows.append(("regmono|%s" % morphism_key(m), CheckVerdict(
+                    "pass" if ok else "fail", witness, bound)))
+    return AuditReport("C1", bound, tuple(rows))
+
+
+@pytest.mark.parametrize("site, bound", [("itree", 2), ("finsetinj", 3)])
+def test_c1_report_matches_the_plain_loop(site, bound):
+    assert audit_c1(site, bound).to_json() \
+        == _reference_c1(site, bound).to_json()
+
+
+@pytest.mark.parametrize("audit_fn, prefix", [(audit_c1, "span|"),
+                                              (audit_c2prime, "zigzag|")])
+def test_equal_rows_of_one_audit_call_share_one_verdict(audit_fn, prefix):
+    """Span rows of C1 with one cocone, and C2' rows with one status,
+    chain length and target, carry one CheckVerdict object; a second call
+    builds its own."""
+    first, second = audit_fn("itree", 2), audit_fn("itree", 2)
+    ids = []
+    for report in (first, second):
+        by_value: dict = {}
+        for key, v in report.verdicts:
+            if key.startswith(prefix):
+                by_value.setdefault((v.status, canonical_json(v.witness)),
+                                    set()).add(id(v))
+        assert all(len(objs) == 1 for objs in by_value.values())
+        ids.append(set().union(*by_value.values()))
+    assert len(ids[0]) < len(first.verdicts)
+    assert not ids[0] & ids[1]
+
+
+def test_c3_ranks_each_object_once(monkeypatch):
+    calls = []
+    real = itree.ITreeBackend.rank
+
+    def counted(self, obj):
+        calls.append(obj)
+        return real(self, obj)
+
+    monkeypatch.setattr(itree.ITreeBackend, "rank", counted)
+    audit_c3("itree", 2)
+    assert sorted(map(object_key, calls)) == sorted(
+        map(object_key, backend("itree").objects_up_to(2)))
