@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .atoms import FormalAtom, coequalize_representables
 from .core import (Span, SiteError, Value, amalgamate, aut_group, backend,
-                   backend_of, compose, hom_set, identity, is_iso,
+                   backend_of, commutes, compose, hom_set, identity, is_iso,
                    morphism_key, object_key, pullback, rank,
                    subgroup_generated)
 from .presheaf import CheckVerdict
@@ -97,15 +97,16 @@ def audit_c1(site: str, bound: int) -> AuditReport:
     that its cocone commutes and raises SiteError when it does not.
     """
     objects = backend(site).objects_up_to(bound)
-    homs = _Memo().homs
+    homs = {(a, b): [(f, morphism_key(f)) for f in hom_set(a, b)]
+            for a in objects for b in objects}  # each arrow with its key
     rows = []
     passes: dict = {}  # cocone key -> its one verdict in this report
     for a in objects:
         for b in objects:
-            for f in homs(a, b):
+            for f, fkey in homs[a, b]:
                 for x in objects:
-                    for g in homs(a, x):
-                        key = "span|%s|%s" % (morphism_key(f), morphism_key(g))
+                    for g, gkey in homs[a, x]:
+                        key = "span|%s|%s" % (fkey, gkey)
                         cocone = object_key(amalgamate(Span(f, g)).obj)
                         verdict = passes.get(cocone)
                         if verdict is None:
@@ -114,9 +115,8 @@ def audit_c1(site: str, bound: int) -> AuditReport:
                         rows.append((key, verdict))
     for a in objects:
         for b in objects:
-            for m in homs(a, b):
-                rows.append(("regmono|%s" % morphism_key(m),
-                             _regular_mono_row(m, bound)))
+            for m, mkey in homs[a, b]:
+                rows.append(("regmono|" + mkey, _regular_mono_row(m, bound)))
     return AuditReport("C1", bound, tuple(rows))
 
 
@@ -370,10 +370,9 @@ def extend_parallel_pair(f, alpha, beta):
     fprime = compose(v, second.from_right)
     alphaprime = compose(u, second.from_right)
     betaprime = second.from_left
-    for a, b in ((compose(alpha, fprime), compose(f, alphaprime)),
-                 (compose(beta, fprime), compose(f, betaprime))):
-        if a != b:
-            raise SiteError("extension squares failed to commute")
+    if not (commutes(alpha, fprime, f, alphaprime)
+            and commutes(beta, fprime, f, betaprime)):
+        raise SiteError("extension squares failed to commute")
     return fprime, alphaprime, betaprime
 
 

@@ -31,9 +31,9 @@ class Value:
     one class are equal when their compared fields are, and an instance
     hashes as the tuple of its compared fields, hash(x) == hash((x.a,
     x.b)): the iteration order of a set of values, and so every output
-    that lists one, rests on that hash.  cached_property and the indices
-    _freeze stores write to the instance dict directly, which the guard
-    does not block.
+    that lists one, rests on that hash.  cached_property and the tree
+    builder's stored indices write to the instance dict directly, which
+    the guard does not block.
 
     FinitaryTree, TreeEmbedding, Span, Cospan, Cocone and PullbackSquare
     set their fields in one step, self.__dict__.update(...): for four
@@ -144,7 +144,7 @@ class PullbackSquare(Value):
     def __init__(self, left, right, apex, to_left, to_right):
         self.__dict__.update(left=left, right=right, apex=apex,
                              to_left=to_left, to_right=to_right)
-        if compose(to_left, left) != compose(to_right, right):
+        if not commutes(to_left, left, to_right, right):
             raise SiteError("pullback square does not commute")
 
 
@@ -252,6 +252,14 @@ def compose(f, g):
     return f.then(g)
 
 
+def commutes(f, g, h, k) -> bool:
+    """Whether f;g == h;k, with compose's endpoint checks, comparing the
+    two composites entry by entry (then_equals) without building them."""
+    if (f.cod, h.cod) != (g.dom, k.dom):  # tuples compare identity first
+        raise SiteError("compose: cod of first factor differs from dom of second")
+    return (f.dom, g.cod) == (h.dom, k.cod) and f.then_equals(g, h, k)
+
+
 def identity(obj):
     return backend_of(obj).identity(obj)
 
@@ -276,7 +284,7 @@ def pullback(f, g) -> PullbackSquare:
 def amalgamate(span: Span) -> Cocone:
     """A cocone completing the span, deterministic and small."""
     cone = backend_of(span.apex).amalgamate(span)
-    if compose(span.left, cone.from_left) != compose(span.right, cone.from_right):
+    if not commutes(span.left, cone.from_left, span.right, cone.from_right):
         raise SiteError("amalgamation produced a non-commuting cocone")
     return cone
 
@@ -294,8 +302,11 @@ def inverse(f):
     """The inverse morphism when f is invertible, else None."""
     if f.dom == f.cod and is_identity(f):
         return f
-    for g in hom_set(f.cod, f.dom):
-        if compose(f, g) == identity(f.dom) and compose(g, f) == identity(f.cod):
+    candidates = hom_set(f.cod, f.dom)
+    if candidates:  # the identities, once per call
+        one, other = identity(f.dom), identity(f.cod)
+    for g in candidates:
+        if compose(f, g) == one and compose(g, f) == other:
             return g
     return None
 

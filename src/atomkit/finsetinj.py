@@ -58,6 +58,12 @@ class Injection(Value):
     def then(self, other: "Injection") -> "Injection":
         return Injection(self.dom, other.cod, tuple(other.map[v] for v in self.map))
 
+    def then_equals(self, g: "Injection", h: "Injection",
+                    k: "Injection") -> bool:
+        """Whether self;g == h;k, given equal ends, map entry by entry."""
+        gm, km = g.map, k.map
+        return [gm[v] for v in self.map] == [km[w] for w in h.map]
+
     def sort_key(self):
         return (self.dom.size, self.cod.size, self.map)
 

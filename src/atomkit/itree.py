@@ -22,13 +22,12 @@ continuations, which are either merged into a single tail marker or
 split at a bounded depth.
 
 Every tree value is made by one pipeline.  A construction walks its
-inputs into mutable scratch nodes (_N), each recording the host
-position it came from: nested forms and payloads are copied, denoted
-subtrees are carved with every comb as one tail marker.  _freeze then
-numbers the scratch tree in preorder and is the only place a
-FinitaryTree is built.  Finally the embeddings are read off the frozen
-scratch tree: _placements reports where each host node and host tail
-landed, _inclusion sends each node back to its recorded position.
+inputs and emits the new tree node by node, in preorder, into one
+builder, each node with its parent and the host positions it came from,
+so the embeddings out of and into the hosts are complete when the walk
+returns.  Pullbacks and canonical forms sort children before numbering
+them, so they nest first and replay.  The builder's finish step is the
+only place a FinitaryTree is built.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .core import (Cocone, PullbackSquare, RankValue, SiteError, Span, Value,
-                   compose, is_int, is_iso, object_key, register_backend)
+                   commutes, compose, is_int, object_key, register_backend)
 
 INTERNAL, LEAF, TAIL = "internal", "leaf", "tail"
 AUDIT_LABELS = ("i", "j")
@@ -54,10 +53,10 @@ class TreeTooDeep(SiteError):
 
 class FinitaryTree(Value):
     """Explicit encoding, node ids 0..n-1 with the root at 0.  The
-    constructor trusts its arguments: only _freeze calls it, on scratch
+    constructor trusts its arguments: only _Builder.finish calls it, on
     trees that validate_tree or build checked or the library assembled.
 
-    _freeze also stores the per-tree indices on the value, as attributes
+    finish also stores the per-tree indices on the value, as attributes
     outside the fields (equality and repr ignore them):
 
         parents   the parent id of each node, None at the root
@@ -66,9 +65,9 @@ class FinitaryTree(Value):
         key       the object_key string
 
     and the hash of the fields, which __hash__ returns.  The per-node
-    tables child_addrs, comb_tails and label_sets are computed on first
-    use instead: most trees an audit freezes are amalgams that nothing
-    queries.
+    tables child_addrs, comb_tails and label_sets, and canonical_key, are
+    computed on first use instead: most trees an audit builds are
+    amalgams that nothing queries.
     """
 
     _fields = ("kinds", "children", "labels")
@@ -124,7 +123,14 @@ class FinitaryTree(Value):
         self.__dict__.update(comb_tails=tables[0], label_sets=tables[1])
         return tables
 
+    @cached_property
+    def canonical_key(self) -> str:
+        """The key of canonical_form(self), equal on isomorphic trees."""
+        return canonical_form(self).key
+
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return (self.kinds, self.children, self.labels) == \
                 (other.kinds, other.children, other.labels)
@@ -141,81 +147,106 @@ class TreeStats(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# scratch trees: the one way a tree value is made
+# the preorder builder: the one way a tree value is made
 
-class _N:
-    __slots__ = ("kind", "label", "kids", "meta")
+class _Builder:
+    """A tree emitted one node at a time in preorder, parent and then left
+    child first, so a node's id is the count of nodes before it.  add
+    takes its kind, label and parent id, its position in each host (None
+    where it has none) and, on a tail, the host tail each inclusion
+    routes it along.  Meanwhile images[k] and tails[k] record where the
+    explicit nodes and tails of hosts[k] land (a tail emitted at a host
+    comb stands for the whole comb), so the legs out of the hosts and the
+    inclusions into them are complete when the walk returns.  finish is
+    the only place a FinitaryTree is built."""
 
-    def __init__(self, kind, label=None, kids=None, meta=None):
-        self.kind = kind
-        self.label = label
-        self.kids = kids if kids is not None else []
-        self.meta = meta if meta is not None else {}
+    def __init__(self, *hosts: FinitaryTree):
+        self.nodes, self.at, self.routes, self.hosts = [], [], {}, hosts
+        self.images = [[None] * len(h.kinds) for h in hosts]
+        self.tails: list[dict[int, int]] = [{} for _h in hosts]
 
+    def add(self, kind: str, label, parent, *at, routes=None) -> int:
+        fid = len(self.nodes)
+        self.nodes.append((kind, label, parent))
+        self.at.append(at)
+        if routes is not None:
+            self.routes[fid] = routes
+        for host, imgs, tails, pos in zip(self.hosts, self.images,
+                                          self.tails, at):
+            t = None if pos is None or kind != TAIL else comb_view(host, pos)
+            if t is not None:
+                tails[t] = fid
+                if pos[0] == 0:
+                    for nid, rel, side in comb_layout(host, pos[1]):
+                        imgs[nid] = (0, fid) if rel == 0 else (1, fid, rel, side)
+            elif pos is not None and pos[0] == 0:
+                imgs[pos[1]] = (0, fid)
+        return fid
 
-def _freeze(root: _N) -> tuple[FinitaryTree, list[_N]]:
-    """Number a scratch tree in preorder; order[i] became node i.  One
-    preorder walk and one pass back over it build every per-tree index
-    the value carries."""
-    order, parents = [], []
-    stack = [(root, None)]
-    while stack:
-        n, p = stack.pop()
-        if n.kind == INTERNAL:
-            stack += ((n.kids[1], len(order)), (n.kids[0], len(order)))
-        order.append(n)
-        parents.append(p)
-    kinds = tuple([n.kind for n in order])
-    labels = tuple([n.label for n in order])
-    children: list = [None] * len(order)
-    sizes, keys = [1] * len(order), [""] * len(order)
-    for i in range(len(order) - 1, -1, -1):
-        kind = kinds[i]
-        if kind == INTERNAL:
-            a = i + 1
-            b = a + sizes[a]
-            children[i] = (a, b)
-            sizes[i] += sizes[a] + sizes[b]
-            keys[i] = "(%s %s)" % (keys[a], keys[b])
-        else:
-            keys[i] = "L" if kind == LEAF else "T(%s)" % labels[i]
-    paths: dict[int, tuple[int, ...]] = {}
-    for t, kind in enumerate(kinds):
-        if kind == TAIL:
+    def finish(self) -> FinitaryTree:
+        """The tree and its indices: one pass back over the nodes pairs
+        the children, builds the keys and lists the tails."""
+        kinds, labels, parents = zip(*self.nodes)
+        children: list = [None] * len(kinds)
+        keys = children[:]
+        tails = []
+        for i in range(len(kinds) - 1, -1, -1):
+            kind, p = kinds[i], parents[i]
+            if kind == INTERNAL:
+                a, b = children[i]
+                keys[i] = "(%s %s)" % (keys[a], keys[b])
+            elif kind == LEAF:
+                keys[i] = "L"
+            else:
+                keys[i] = "T(%s)" % labels[i]
+                tails.append(i)
+            if p is not None and p != i - 1:  # a left child follows its parent
+                children[p] = (p + 1, i)
+        paths = {}
+        for t in reversed(tails):
             path = [t]
             while parents[path[-1]] is not None:
                 path.append(parents[path[-1]])
             paths[t] = tuple(path[::-1])
-    fields = (kinds, tuple(children), labels)
-    tree = FinitaryTree(*fields)
-    tree.__dict__.update(parents=tuple(parents), tail_ids=tuple(paths),
-                         paths=paths, key=keys[0], _hash=hash(fields))
-    return tree, order
+        fields = (kinds, tuple(children), labels)
+        tree = FinitaryTree(*fields)
+        tree.__dict__.update(parents=parents, tail_ids=tuple(paths),
+                             paths=paths, key=keys[0], _hash=hash(fields))
+        return tree
+
+    def legs(self, tree: FinitaryTree, what: str) -> list[TreeEmbedding]:
+        """The embedding of each host into the finished tree."""
+        if any([None in imgs for imgs in self.images]):
+            raise SiteError("%s failed to place every node" % what)
+        return [make_embedding(host, tree, imgs, tails) for host, imgs, tails
+                in zip(self.hosts, self.images, self.tails)]
+
+    def inclusion(self, tree, host, k: int) -> TreeEmbedding:
+        """The finished tree into host: k-th positions and routes."""
+        return make_embedding(tree, host, tuple([at[k] for at in self.at]),
+                              {t: r[k] for t, r in self.routes.items()})
 
 
-def _copy(tree: FinitaryTree, nid: int = 0) -> _N:
-    return _N(tree.kinds[nid], tree.labels[nid],
-              [_copy(tree, c) for c in tree.children[nid] or ()])
+def _nest(kind: str, label, kids=(), at=(), routes=None) -> tuple:
+    """A node (sort key, kind, label, children, at, routes) of a nested
+    tree in canonical form: a node over a tail and a leaf collapses into
+    the tail (with the node's positions), and children sort by key."""
+    if kind == INTERNAL:
+        a, b = kids
+        for t, other in ((a, b), (b, a)):
+            if t[1] == TAIL and other[1] == LEAF:
+                return (t[0], TAIL, t[2], (), at, t[5])
+        if b[0] < a[0]:
+            a, b = b, a
+        return ((2, a[0], b[0]), INTERNAL, None, (a, b), at, None)
+    return ((0,) if kind == LEAF else (1, label), kind, label, (), at, routes)
 
 
-def _n_key(n: _N):
-    if n.kind == LEAF:
-        return (0,)
-    if n.kind == TAIL:
-        return (1, n.label)
-    return (2, _n_key(n.kids[0]), _n_key(n.kids[1]))
-
-
-def _canonical(n: _N) -> _N:
-    """Collapse redundant comb encodings and sort unordered children,
-    bottom-up; a collapsed tail keeps the recorded positions of both."""
-    n.kids = [_canonical(k) for k in n.kids]
-    if n.kind == INTERNAL:
-        for t, l in (n.kids, n.kids[::-1]):
-            if t.kind == TAIL and l.kind == LEAF:
-                return _N(TAIL, t.label, meta={**t.meta, **n.meta})
-        n.kids.sort(key=_n_key)
-    return n
+def _replay(out: _Builder, nested: tuple, parent=None) -> None:
+    _key, kind, label, kids, at, routes = nested
+    fid = out.add(kind, label, parent, *at, routes=routes)
+    for kid in kids:
+        _replay(out, kid, fid)
 
 
 # ---------------------------------------------------------------------------
@@ -235,20 +266,33 @@ def node(a, b):
 
 def build(nested) -> FinitaryTree:
     """Materialize a nested form with preorder numbering."""
+    out = _Builder()
 
-    def go(n) -> _N:
+    def go(n, parent):
         if n[0] == "node":
-            return _N(INTERNAL, kids=[go(n[1]), go(n[2])])
-        if n[0] != "leaf" and n[1] is None:
+            fid = out.add(INTERNAL, None, parent)
+            go(n[1], fid)
+            return go(n[2], fid)
+        if n[0] == "leaf":
+            return out.add(LEAF, None, parent)
+        if n[1] is None:
             raise SiteError("a tail needs a label")
-        return _N(LEAF) if n[0] == "leaf" else _N(TAIL, n[1])
+        return out.add(TAIL, n[1], parent)
 
-    return _freeze(go(nested))[0]
+    go(nested, None)
+    return out.finish()
 
 
 def canonical_form(tree: FinitaryTree) -> FinitaryTree:
     """The minimal encoding; equal canonical forms mean isomorphic trees."""
-    return _freeze(_canonical(_copy(tree)))[0]
+
+    def nest(i) -> tuple:
+        return _nest(tree.kinds[i], tree.labels[i],
+                     tuple([nest(c) for c in tree.children[i] or ()]))
+
+    out = _Builder()
+    _replay(out, nest(0))
+    return out.finish()
 
 
 def validate_tree(data: dict) -> FinitaryTree:
@@ -274,8 +318,9 @@ def _validate_tree_mapped(data: dict) -> tuple[FinitaryTree, dict[int, int]]:
     if not is_int(root) or root not in table:
         raise SiteError("root id %r is not a listed node" % (root,))
     seen = set()
+    out = _Builder()
 
-    def go(old, level) -> _N:
+    def go(old, level, parent):
         if old in seen:
             raise SiteError("node %r has more than one parent" % old)
         if level > MAX_TREE_LEVELS:
@@ -290,8 +335,9 @@ def _validate_tree_mapped(data: dict) -> tuple[FinitaryTree, dict[int, int]]:
             for c in ch:
                 if not is_int(c) or c not in table:
                     raise SiteError("child id %r of node %r is not a listed node" % (c, old))
-            return _N(INTERNAL, kids=[go(ch[0], level + 1), go(ch[1], level + 1)],
-                      meta={"id": old})
+            fid = out.add(INTERNAL, None, parent, old)
+            go(ch[0], level + 1, fid)
+            return go(ch[1], level + 1, fid)
         if kind in ("leaf", "tail"):
             if row.get("children"):
                 raise SiteError("%s node %r must not have children" % (kind, old))
@@ -300,50 +346,26 @@ def _validate_tree_mapped(data: dict) -> tuple[FinitaryTree, dict[int, int]]:
                 raise SiteError("node %r: 'label' is required exactly on tail nodes" % old)
             if label is not None and not isinstance(label, str):
                 raise SiteError("node %r: 'label' must be a string" % old)
-            return _N(LEAF if kind == "leaf" else TAIL, label, meta={"id": old})
+            return out.add(LEAF if kind == "leaf" else TAIL, label, parent, old)
         raise SiteError("node %r has unknown kind %r" % (old, kind))
 
-    tree, order = _freeze(go(root, 1))
+    go(root, 1, None)
     if len(seen) != len(table):
         raise SiteError("nodes %s are not reachable from the root"
                         % sorted(set(table) - seen))
-    return tree, {n.meta["id"]: i for i, n in enumerate(order)}
+    return out.finish(), {at[0]: i for i, at in enumerate(out.at)}
 
 
 # ---------------------------------------------------------------------------
 # explicit-part combinatorics
 
-def on_branch_set(tree: FinitaryTree) -> frozenset[int]:
-    """Explicit nodes lying on a branch: a tail marker among descendants or self."""
-    on: set[int] = set()
-
-    def go(nid) -> bool:
-        kind = tree.kinds[nid]
-        if kind == TAIL:
-            hit = True
-        elif kind == LEAF:
-            hit = False
-        else:
-            a, b = tree.children[nid]
-            ha, hb = go(a), go(b)
-            hit = ha or hb
-        if hit:
-            on.add(nid)
-        return hit
-
-    go(0)
-    return frozenset(on)
-
-
 def tree_stats(tree: FinitaryTree) -> TreeStats:
     """Branch count, count of nodes under an off-branch parent, and the rank."""
     branches = len(tree.tail_ids)
-    on = on_branch_set(tree)
-    parents = tree.parents
+    below = tree.label_sets  # a node lies on a branch when a tail is below
     f_count = 0
-    for i in range(tree.n_nodes):
-        p = parents[i]
-        if (p is None and i not in on) or (p is not None and p not in on):
+    for i, p in enumerate(tree.parents):
+        if not below[i if p is None else p]:
             f_count += 1
     return TreeStats(branches, f_count, RankValue((branches, f_count)))
 
@@ -509,6 +531,18 @@ class TreeEmbedding(Value):
                         for t, s, _e in self.tail_routes])
         return TreeEmbedding(self.dom, other.cod, imgs, routes)
 
+    def then_equals(self, g: "TreeEmbedding", h: "TreeEmbedding",
+                    k: "TreeEmbedding") -> bool:
+        """Whether self;g == h;k, given equal ends: the explicit images and
+        route targets of the composites, without building either one."""
+        gi, ki = g.explicit_images, k.explicit_images
+        return ([gi[a[1]] if a[0] == 0 else g.image(a)
+                 for a in self.explicit_images]
+                == [ki[b[1]] if b[0] == 0 else k.image(b)
+                    for b in h.explicit_images]
+                and [(t, g.route(s)) for t, s, _e in self.tail_routes]
+                == [(t, k.route(s)) for t, s, _e in h.tail_routes])
+
     def sort_key(self):
         return (self.explicit_images, self.tail_routes)
 
@@ -643,55 +677,6 @@ def preimage_fn(emb: TreeEmbedding) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# carving denoted subtrees and reading frozen scratch trees back
-
-def _carve(host: FinitaryTree, pos, side: str) -> _N:
-    """The denoted subtree of host below pos, every comb as one tail
-    marker, each node recording its host position under side."""
-    ch = denoted_children(host, pos)
-    if ch is None:
-        return _N(LEAF, meta={side: pos})
-    t = comb_view(host, pos)
-    if t is not None:
-        return _N(TAIL, host.labels[t], meta={side: pos})
-    return _N(INTERNAL, meta={side: pos},
-              kids=[_carve(host, ch[0], side), _carve(host, ch[1], side)])
-
-
-def _placements(order: list[_N], host: FinitaryTree, side: str):
-    """Where the host positions recorded under side landed in a frozen
-    scratch tree: an address per explicit host node (None where nothing
-    landed) and the frozen tail each host tail now follows.  A scratch
-    tail recorded at a host comb stands for the whole comb: the comb's
-    explicit nodes land along the tail's continuation."""
-    imgs: list = [None] * host.n_nodes
-    tails: dict[int, int] = {}
-    for fid, n in enumerate(order):
-        pos = n.meta.get(side)
-        if pos is None:
-            continue
-        t = comb_view(host, pos) if n.kind == TAIL else None
-        if t is not None:
-            tails[t] = fid
-            if pos[0] == 0:
-                for nid, rel, sd in comb_layout(host, pos[1]):
-                    imgs[nid] = (0, fid) if rel == 0 else (1, fid, rel, sd)
-        elif pos[0] == 0:
-            imgs[pos[1]] = (0, fid)
-    return imgs, tails
-
-
-def _inclusion(obj: FinitaryTree, order: list[_N], host: FinitaryTree,
-               side: str) -> TreeEmbedding:
-    """The embedding of a frozen scratch tree into host that sends each
-    node to the position recorded under side and each tail along the host
-    tail recorded under side + "t"."""
-    return make_embedding(obj, host, tuple(n.meta[side] for n in order),
-                          {fid: n.meta[side + "t"]
-                           for fid, n in enumerate(order) if n.kind == TAIL})
-
-
-# ---------------------------------------------------------------------------
 # pullback
 
 def tree_pullback(f: TreeEmbedding, g: TreeEmbedding) -> PullbackSquare:
@@ -701,106 +686,117 @@ def tree_pullback(f: TreeEmbedding, g: TreeEmbedding) -> PullbackSquare:
     preimage positions sit on pure continuations following the same
     target branch the rest of the intersection is that whole branch (a
     tail marker); continuations on different target branches split at
-    the finite depth where those branches diverge.
+    the finite depth where those branches diverge.  Canonical form
+    sorts children before numbering, so the walk nests and then replays.
     """
     X, Y, Z = f.dom, g.dom, f.cod
 
-    def walk(xa, ya, za) -> _N:
+    def walk(xa, ya, za) -> tuple:
         xc, yc = denoted_children(X, xa), denoted_children(Y, ya)
         if xc is None or yc is None:
-            return _N(LEAF, meta={"x": xa, "y": ya})
+            return _nest(LEAF, None, (), (xa, ya))
         tx, ty = comb_view(X, xa), comb_view(Y, ya)
         if tx is not None and ty is not None and f.route(tx) == g.route(ty):
-            return _N(TAIL, X.labels[tx],
-                      meta={"x": xa, "y": ya, "xt": tx, "yt": ty})
+            return _nest(TAIL, X.labels[tx], (), (xa, ya), (tx, ty))
         by_x = {f.image(c): c for c in xc}
         by_y = {g.image(c): c for c in yc}
         kids = [walk(by_x[z], by_y[z], z) for z in denoted_children(Z, za)]
-        return _N(INTERNAL, kids=kids, meta={"x": xa, "y": ya})
+        return _nest(INTERNAL, None, kids, (xa, ya))
 
-    apex, order = _freeze(_canonical(walk((0, 0), (0, 0), (0, 0))))
-    return PullbackSquare(f, g, apex, _inclusion(apex, order, X, "x"),
-                          _inclusion(apex, order, Y, "y"))
+    out = _Builder()
+    _replay(out, walk((0, 0), (0, 0), (0, 0)))
+    apex = out.finish()
+    return PullbackSquare(f, g, apex, out.inclusion(apex, X, 0),
+                          out.inclusion(apex, Y, 1))
 
 
 # ---------------------------------------------------------------------------
 # amalgamation
 
-def tree_amalgamate(span: Span) -> Cocone:
-    """A small deterministic cocone over the span.
+def _overlay(out: _Builder, f, g, x, a, b, parent) -> None:
+    """Emit into out the overlay of the subtrees below a in out.hosts[0]
+    and b in out.hosts[1], x being their preimage in the apex of the legs
+    f and g, or None outside the apex image.
 
-    The two trees are overlaid: inside the span apex the pairing of
-    children is the one forced by the legs, outside it children are
-    paired greedily so that equal-labeled continuations merge into one
-    tail marker; continuations with clashing labels split at the first
-    node where they meet, each keeping its own branch and absorbing the
-    other side's hanging leaf.
+    Inside the apex image the legs force the pairing of children; outside
+    it children pair greedily so that equal-labeled continuations merge
+    into one tail marker, and continuations with clashing labels split
+    where they meet, each absorbing the other side's hanging leaf.  A
+    leaf on one side lies over the other side's whole subtree, carved
+    with every comb as one tail marker; below the leaf the position on
+    its side is None.  The walk keeps its own stack, left child on top,
+    and emits leaves and internal nodes inline: the hot path of add.
     """
-    f, g = span.left, span.right
-    X, A, B = span.apex, f.cod, g.cod
-
-    def merge(x, a, b) -> _N:
-        da, db = denoted_children(A, a), denoted_children(B, b)
-        if da is None and db is None:
-            return _N(LEAF, meta={"a": a, "b": b})
+    A, B = out.hosts
+    X = None if f is None else f.dom
+    nodes, ats, (ia, ib) = out.nodes, out.at, out.images
+    # denoted_children, comb_view and image at explicit addresses, inline
+    cha, chb, cta, ctb = A.child_addrs, B.child_addrs, A.comb_tails, B.comb_tails
+    fi, gi = (None, None) if f is None else (f.explicit_images, g.explicit_images)
+    todo = [(x, a, b, parent)]
+    while todo:
+        x, a, b, parent = todo.pop()
+        fid = len(nodes)
+        da = None if a is None else cha[a[1]] if a[0] == 0 \
+            else denoted_children(A, a)
+        db = None if b is None else chb[b[1]] if b[0] == 0 \
+            else denoted_children(B, b)
         if da is None or db is None:
-            # a leaf on one side lies over the other side's whole subtree
-            n = _carve(B, b, "b") if da is None else _carve(A, a, "a")
-            n.meta.update(a=a, b=b)
-            return n
-        ta, tb = comb_view(A, a), comb_view(B, b)
-        combs = ta is not None and tb is not None
-        dx = None if x is None else denoted_children(X, x)
-        if dx is not None:
-            # inside the apex image the legs force the pairing of children;
-            # a comb merge is only allowed where the apex itself continues
-            # as a comb, so that both routes follow one identified branch
-            if combs and comb_view(X, x) is not None:
-                return _N(TAIL, A.labels[ta], meta={"a": a, "b": b})
-            x1, x2 = dx
-            kids = [merge(x1, f.image(x1), g.image(x1)),
-                    merge(x2, f.image(x2), g.image(x2))]
-        elif combs:
-            if A.labels[ta] == B.labels[tb]:
-                return _N(TAIL, A.labels[ta], meta={"a": a, "b": b})
-            ac, ao = comb_children(A, a)
-            bc, bo = comb_children(B, b)
-            kids = [merge(None, ac, bo), merge(None, ao, bc)]
+            kind = LEAF
+            if da is not None or db is not None:  # carve the other side
+                host, pos, (c1, c2) = (A, a, da) if db is None else (B, b, db)
+                t = comb_view(host, pos)
+                if t is not None:
+                    out.add(TAIL, host.labels[t], parent, a, b)
+                    continue
+                kind = INTERNAL
+                todo += (((None, c2, None, fid), (None, c1, None, fid))
+                         if db is None else
+                         ((None, None, c2, fid), (None, None, c1, fid)))
         else:
-            (a1, a2), (b1, b2) = da, db
-            la1, la2 = labels_below(A, a1), labels_below(A, a2)
-            lb1, lb2 = labels_below(B, b1), labels_below(B, b2)
-            if (len(la1 & lb2) + len(la2 & lb1)
-                    > len(la1 & lb1) + len(la2 & lb2)):
-                b1, b2 = b2, b1
-            kids = [merge(None, a1, b1), merge(None, a2, b2)]
-        return _N(INTERNAL, kids=kids, meta={"a": a, "b": b})
+            ta = cta[a[1]] if a[0] == 0 else comb_view(A, a)
+            tb = ctb[b[1]] if b[0] == 0 else comb_view(B, b)
+            combs = ta is not None and tb is not None
+            dx = None if x is None else denoted_children(X, x)
+            if dx is not None:
+                # merge combs only where the apex continues as a comb too,
+                # so that both routes follow one identified branch
+                if combs and comb_view(X, x) is not None:
+                    out.add(TAIL, A.labels[ta], parent, a, b)
+                    continue
+                for x1 in dx[::-1]:
+                    todo.append((x1, fi[x1[1]], gi[x1[1]], fid) if x1[0] == 0
+                                else (x1, f.image(x1), g.image(x1), fid))
+            elif combs:
+                if A.labels[ta] == B.labels[tb]:
+                    out.add(TAIL, A.labels[ta], parent, a, b)
+                    continue
+                (ac, ao), (bc, bo) = comb_children(A, a), comb_children(B, b)
+                todo += ((None, ao, bc, fid), (None, ac, bo, fid))
+            else:
+                (a1, a2), (b1, b2) = da, db
+                la1, la2 = labels_below(A, a1), labels_below(A, a2)
+                lb1, lb2 = labels_below(B, b1), labels_below(B, b2)
+                if (len(la1 & lb2) + len(la2 & lb1)
+                        > len(la1 & lb1) + len(la2 & lb2)):
+                    b1, b2 = b2, b1
+                todo += ((None, a2, b2, fid), (None, a1, b1, fid))
+            kind = INTERNAL
+        nodes.append((kind, None, parent))
+        ats.append((a, b))
+        if a is not None and a[0] == 0:
+            ia[a[1]] = (0, fid)
+        if b is not None and b[0] == 0:
+            ib[b[1]] = (0, fid)
 
-    obj, order = _freeze(merge((0, 0), (0, 0), (0, 0)))
-    legs = []
-    for host, side in ((A, "a"), (B, "b")):
-        imgs, tails = _placements(order, host, side)
-        if None in imgs:
-            raise SiteError("amalgam failed to place every node")
-        legs.append(make_embedding(host, obj, imgs, tails))
-    return Cocone(obj, *legs)
 
-
-# ---------------------------------------------------------------------------
-# subtrees of the denoted tree
-
-class SubtreeView(NamedTuple):
-    tree: FinitaryTree
-    from_host: dict    # host explicit id -> subtree address
-    tail_map: dict     # host tail id -> subtree tail id
-
-
-def subtree_at(host: FinitaryTree, addr) -> SubtreeView:
-    """Materialize the denoted subtree below addr as an object."""
-    sub, order = _freeze(_carve(host, addr, "p"))
-    imgs, tails = _placements(order, host, "p")
-    return SubtreeView(sub, {i: a for i, a in enumerate(imgs) if a is not None},
-                       tails)
+def tree_amalgamate(span: Span) -> Cocone:
+    """A small deterministic cocone over the span (see _overlay)."""
+    f, g = span.left, span.right
+    out = _Builder(f.cod, g.cod)
+    _overlay(out, f, g, (0, 0), (0, 0), (0, 0), None)
+    obj = out.finish()
+    return Cocone(obj, *out.legs(obj, "amalgam"))
 
 
 # ---------------------------------------------------------------------------
@@ -811,60 +807,43 @@ def regular_mono_witness(emb: TreeEmbedding):
 
     Every target node outside the image hangs below some image of a
     source denoted leaf.  At each such leaf image p the subtree below p
-    is replaced by a node over two copies of an amalgam containing both
-    child subtrees; the two embeddings send the children straight and
-    swapped, so they agree exactly on the image of the source.
+    is replaced by a node over two copies of the overlay of its two
+    child subtrees (their amalgam over a point); the two embeddings send
+    the children straight and swapped, so they agree exactly on the
+    image of the source.
     """
     X, Y = emb.dom, emb.cod
     pre = preimage_fn(emb)
-    point = build(leaf())
+    out = _Builder(Y, Y)  # where e1 and e2 send the nodes of Y
 
-    def replacement(p, ch) -> _N:
-        s1, s2 = subtree_at(Y, ch[0]), subtree_at(Y, ch[1])
-        cone = tree_amalgamate(Span(
-            make_embedding(point, s1.tree, ((0, 0),), {}),
-            make_embedding(point, s2.tree, ((0, 0),), {})))
-        return _N(INTERNAL, kids=[_copy(cone.obj), _copy(cone.obj)],
-                  meta={"y": p, "repl": ((s1, cone.from_left),
-                                         (s2, cone.from_right))})
-
-    def walk(p) -> _N:
+    def walk(p, parent):
         xp = pre(p)
         if xp is None:
             raise SiteError("walk escaped the embedding image")
         ch = denoted_children(Y, p)
-        if denoted_children(X, xp) is None:
-            return _N(LEAF, meta={"y": p}) if ch is None else replacement(p, ch)
+        if ch is None:
+            return out.add(LEAF, None, parent, p, p)
         t = comb_view(Y, p)
-        # swallow a comb only where the source covers it cofinally, i.e.
-        # keeps routing a tail along this branch
-        if t is not None and comb_view(X, xp) is not None:
-            return _N(TAIL, Y.labels[t], meta={"y": p})
-        return _N(INTERNAL, kids=[walk(ch[0]), walk(ch[1])], meta={"y": p})
+        if denoted_children(X, xp) is not None:
+            # swallow a comb only where the source covers it cofinally,
+            # i.e. keeps routing a tail along this branch
+            if t is not None and comb_view(X, xp) is not None:
+                return out.add(TAIL, Y.labels[t], parent, p, p)
+            fid = out.add(INTERNAL, None, parent, p, p)
+            walk(ch[0], fid)
+            return walk(ch[1], fid)
+        # two copies of the overlay of the child subtrees: e1 sends them
+        # into the copies straight, e2 swapped
+        fid = out.add(INTERNAL, None, parent, p, p)
+        first = len(out.nodes)
+        _overlay(out, None, None, None, ch[0], ch[1], fid)
+        shift = len(out.nodes) - first
+        for (kind, label, up), at in zip(out.nodes[first:], out.at[first:]):
+            out.add(kind, label, fid if up == fid else up + shift, *at[::-1])
 
-    doubled, order = _freeze(walk((0, 0)))
-    imgs, routes = _placements(order, Y, "y")
-    maps = ((imgs, routes), (list(imgs), dict(routes)))
-    for fid, n in enumerate(order):
-        if "repl" not in n.meta:
-            continue
-        # the two amalgam copies follow n in preorder, and the amalgam is
-        # numbered in preorder too, so its node i sits at base + i of a
-        # copy; e1 sends the child subtrees straight, e2 swapped
-        (s1, c1), (s2, c2) = n.meta["repl"]
-        b1 = fid + 1
-        b2 = b1 + c1.cod.n_nodes
-        for view, into, bases in ((s1, c1, (b1, b2)), (s2, c2, (b2, b1))):
-            for (im, ro), base in zip(maps, bases):
-                for yid, sa in view.from_host.items():
-                    ca = into.image(sa)
-                    im[yid] = (ca[0], base + ca[1]) + ca[2:]
-                for yt, st in view.tail_map.items():
-                    ro[yt] = base + into.route(st)
-    if None in imgs:
-        raise SiteError("doubled tree failed to place every node")
-    e1, e2 = (make_embedding(Y, doubled, im, ro) for im, ro in maps)
-    return doubled, e1, e2
+    walk((0, 0), None)
+    doubled = out.finish()
+    return (doubled, *out.legs(doubled, "doubled tree"))
 
 
 def equalizer_of(e1: TreeEmbedding, e2: TreeEmbedding):
@@ -872,28 +851,36 @@ def equalizer_of(e1: TreeEmbedding, e2: TreeEmbedding):
     with its inclusion."""
     if e1.dom != e2.dom or e1.cod != e2.cod:
         raise SiteError("equalizer needs a parallel pair")
-    Y = e1.dom
+    Y, out = e1.dom, _Builder()
 
-    def walk(p) -> _N:
+    def walk(p, parent):
         ch = denoted_children(Y, p)
-        if ch is None:
-            return _N(LEAF, meta={"y": p})
-        t = comb_view(Y, p)
+        t = None if ch is None else comb_view(Y, p)
         if t is not None and e1.route(t) == e2.route(t) \
                 and e1.image(p) == e2.image(p):
-            return _N(TAIL, Y.labels[t], meta={"y": p, "yt": t})
-        if e1.image(ch[0]) != e2.image(ch[0]):
-            return _N(LEAF, meta={"y": p})
-        return _N(INTERNAL, kids=[walk(ch[0]), walk(ch[1])], meta={"y": p})
+            out.add(TAIL, Y.labels[t], parent, p, routes=(t,))
+        elif ch is None or e1.image(ch[0]) != e2.image(ch[0]):
+            out.add(LEAF, None, parent, p)
+        else:
+            fid = out.add(INTERNAL, None, parent, p)
+            walk(ch[0], fid)
+            walk(ch[1], fid)
 
-    eq, order = _freeze(walk((0, 0)))
-    return eq, _inclusion(eq, order, Y, "y")
+    walk((0, 0), None)
+    eq = out.finish()
+    return eq, out.inclusion(eq, Y, 0)
 
 
 def same_subtree(m1: TreeEmbedding, m2: TreeEmbedding) -> bool:
-    """Whether two embeddings into the same tree have equal images."""
+    """Whether two embeddings into the same tree have equal images: both
+    projections of their pullback are isos, tested by the canonical keys
+    of their ends.  An embedding e: X -> Y between isomorphic trees is an
+    iso: for an iso s: Y -> X, e;s is an endomorphism, hence (aut_group's
+    level argument) an automorphism with some inverse a, so e;(s;a) = id
+    and e is the inverse of the iso s;a."""
     square = tree_pullback(m1, m2)
-    return is_iso(square.to_left) and is_iso(square.to_right)
+    key = square.apex.canonical_key
+    return key == m1.dom.canonical_key and key == m2.dom.canonical_key
 
 
 # ---------------------------------------------------------------------------
@@ -914,7 +901,7 @@ def c2prime_witness(square: PullbackSquare, u: TreeEmbedding,
     if u.dom != Z or v.dom != Z or u.cod != v.cod:
         raise SiteError("the pair must be parallel out of the square's target")
     apex_in = compose(square.to_left, ix)
-    if compose(apex_in, u) != compose(apex_in, v):
+    if not commutes(apex_in, u, apex_in, v):
         raise SiteError("the pair does not agree on the intersection")
 
     pre_x, pre_y = preimage_fn(ix), preimage_fn(iy)
@@ -925,21 +912,14 @@ def c2prime_witness(square: PullbackSquare, u: TreeEmbedding,
             return False
         return pre_y(za) is not None
 
-    parents = Z.parents
-
-    def explicit_has_l(z: int) -> bool:
-        cur: int | None = z
-        while cur is not None:
-            if in_l((0, cur)):
-                return True
-            cur = parents[cur]
-        return False
-
-    images = tuple(v.explicit_images[z] if explicit_has_l(z)
+    has_l: list[bool] = []  # whether an explicit node or its ancestor is in L
+    for z, p in enumerate(Z.parents):
+        has_l.append(in_l((0, z)) or (p is not None and has_l[p]))
+    images = tuple(v.explicit_images[z] if has_l[z]
                    else u.explicit_images[z] for z in range(Z.n_nodes))
     targets: dict[int, int] = {}
     for t in Z.tail_ids:
-        if explicit_has_l(t):
+        if has_l[t]:
             targets[t] = v.route(t)
             continue
         # an explicit leaf of X mapped onto the continuation switches the
@@ -1041,7 +1021,7 @@ class ITreeBackend:
     def regular_mono(self, m: TreeEmbedding) -> tuple[bool, dict]:
         """The witness pair must have exactly the image of m as equalizer."""
         _doubled, e1, e2 = regular_mono_witness(m)
-        if compose(m, e1) != compose(m, e2):
+        if not commutes(m, e1, m, e2):
             return False, {"reason": "pair disagrees on image"}
         _eq, incl = equalizer_of(e1, e2)
         if not same_subtree(incl, m):

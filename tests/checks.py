@@ -4,10 +4,11 @@ pullback_is_universal tests the limit property of a pullback square
 against test objects.  tree_table_problems and injection_problems
 restate the shape invariants that the FinitaryTree and Injection
 constructors do not check, so tests can hold every value the library
-assembles to them; tree_index_problems recomputes the indices _freeze
-stores on every tree and the subtree tables it computes on first use,
-embedding_hash_problems the hash an embedding stores, and
-tail_route_problems the order make_embedding gives the tail routes.
+assembles to them; tree_index_problems recomputes the indices that the
+tree builder's finish step stores on every tree and the subtree tables a
+tree computes on first use, embedding_hash_problems the hash an
+embedding stores, and tail_route_problems the order make_embedding gives
+the tail routes.
 """
 
 from atomkit import compose, hom_set, object_key

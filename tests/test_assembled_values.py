@@ -1,19 +1,19 @@
 """Every value the library assembles keeps the invariants that the
 FinitaryTree and Injection constructors trust instead of checking: the
 tree-table and injection-shape checks of checks.py, and check_embedding
-for tree embeddings.  Every tree also carries the indices that _freeze
-stores and the subtree tables, equal to the ones recomputed from its
-node table, and every embedding the hash of its fields and its tail
-routes ascending by source tail (make_embedding relies on the order of
-tail_ids instead of sorting them)."""
+for tree embeddings.  Every tree also carries the indices that the
+builder's finish step stores and the subtree tables, equal to the ones
+recomputed from its node table, and every embedding the hash of its
+fields and its tail routes ascending by source tail (make_embedding
+relies on the order of tail_ids instead of sorting them)."""
 
 import pytest
 
 from atomkit import (FinitaryTree, FinSet, Injection, SiteError, Span,
                      amalgamate, backend, build, compose, decode_object,
                      encode_object, hom_set, leaf, node, pullback, tail)
-from atomkit.itree import (canonical_form, check_embedding, enumerate_trees,
-                           regular_mono_witness, subtree_at)
+from atomkit.itree import (_Builder, _overlay, canonical_form, check_embedding,
+                           enumerate_trees, equalizer_of, regular_mono_witness)
 
 from checks import (embedding_hash_problems, injection_problems,
                     tail_route_problems, tree_index_problems,
@@ -61,10 +61,19 @@ def _assembled(pool) -> list:
     return made
 
 
+def _carved(host, addr):
+    """The denoted subtree of host below addr, overlaid on a point."""
+    out = _Builder(host, build(leaf()))
+    _overlay(out, None, None, None, addr, (0, 0), None)
+    return out.finish()
+
+
 def _tree_only(pool) -> list:
     """Comb-padded encodings, whose combs run through internal nodes,
-    canonical_form (also of those), subtree_at at every explicit node and
-    first comb step, and regular_mono_witness."""
+    canonical_form (also of those), the subtree carved at every explicit
+    node and first comb step, regular_mono_witness, and equalizer_of with
+    its inclusion, on each witness pair and on every parallel pair of the
+    pool."""
     padded = [build(node(tail("i"), leaf())),
               build(node(leaf(), node(leaf(), tail("j"))))]
     made = list(padded)
@@ -72,11 +81,16 @@ def _tree_only(pool) -> list:
         made.append(canonical_form(t))
         addrs = [(0, i) for i in range(t.n_nodes)]
         addrs += [(1, tid, 1, side) for tid in t.tail_ids for side in (0, 1)]
-        made += [subtree_at(t, a).tree for a in addrs]
+        made += [_carved(t, a) for a in addrs]
     for a in pool:
         for b in pool:
-            for m in hom_set(a, b):
-                made += list(regular_mono_witness(m))
+            arrows = hom_set(a, b)
+            for m in arrows:
+                witness = regular_mono_witness(m)
+                made += list(witness) + list(equalizer_of(*witness[1:]))
+            for e1 in arrows:
+                for e2 in arrows:
+                    made += list(equalizer_of(e1, e2))
     return made
 
 

@@ -2,6 +2,10 @@
 regular-mono witnesses, zig-zag completion, rank descent, group
 finiteness, and the atom-chain stabilization helper."""
 
+import hashlib
+import json
+import pathlib
+
 import pytest
 
 from atomkit import (
@@ -36,7 +40,7 @@ from atomkit import (
     tail,
     tree_stats,
 )
-from atomkit import audit, itree
+from atomkit import audit, cli, itree
 from atomkit.audit import c2prime_chain, verify_chain
 from atomkit.core import backend_of
 from atomkit.finsetinj import FinSetInjBackend
@@ -171,8 +175,8 @@ def test_atom_chain_respects_the_rank_budget():
 def test_the_hom_set_memo_lives_for_one_audit_call(monkeypatch):
     """hom_set and compose are memoised for one call: a second call makes
     the same calls again, and within one call no hom-set and no composite
-    is computed twice.  The commutativity check of each pullback square
-    composes outside the memo, so its composites are counted apart."""
+    is computed twice.  Building a pullback square composes nothing: its
+    commutativity check compares image tables (core.commutes)."""
     calls, composites, square_checks, building = [], [], [], []
     real_enumerate = itree.enumerate_embeddings
     real_then = itree.TreeEmbedding.then
@@ -206,7 +210,7 @@ def test_the_hom_set_memo_lives_for_one_audit_call(monkeypatch):
     assert len(set(calls)) == first
     assert 0 < first_composites and len(composites) == 2 * first_composites
     assert len(set(composites)) == first_composites
-    assert len(square_checks) == 2 * first_checks
+    assert first_checks == 0 and square_checks == []
 
 
 def _reference_chain(square, u, v) -> tuple:
@@ -394,3 +398,36 @@ def test_c3_ranks_each_object_once(monkeypatch):
     audit_c3("itree", 2)
     assert sorted(map(object_key, calls)) == sorted(
         map(object_key, backend("itree").objects_up_to(2)))
+
+
+def test_c1_formats_each_arrow_key_once(monkeypatch):
+    """One morphism_key call per arrow of the pool, although every arrow
+    shows up in many span rows and in its regular-mono row."""
+    calls = []
+    real = audit.morphism_key
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(audit, "morphism_key", counted)
+    report = audit_c1("itree", 2)
+    pool = backend("itree").objects_up_to(2)
+    arrows = [f for a in pool for b in pool for f in hom_set(a, b)]
+    assert sorted(map(real, calls)) == sorted(map(real, arrows))
+    assert len(report.verdicts) > 2 * len(arrows)
+
+
+DIGESTS = json.loads(pathlib.Path(__file__).with_name(
+    "audit_digests.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("condition", ["c1", "c2prime"])
+def test_tree_audits_print_the_recorded_reports(condition, capsys):
+    """The stdout of `atomkit audit --site itree --bound 2`, byte for
+    byte, as recorded in audit_digests.json (CI checks bound 3)."""
+    assert cli.main(["audit", "--condition", condition, "--site", "itree",
+                     "--bound", "2"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == \
+        DIGESTS["itree"][condition]["2"]

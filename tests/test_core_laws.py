@@ -36,6 +36,7 @@ from atomkit import (
     subgroup_generated,
     tail,
 )
+from atomkit import core
 from atomkit.core import RankValue
 
 from checks import pullback_is_universal
@@ -109,6 +110,23 @@ def test_inverse_round_trips():
     sigma = make_injection(3, 3, (1, 2, 0))
     assert compose(sigma, inverse(sigma)) == identity(FinSet(3))
     assert inverse(make_injection(1, 2, (0,))) is None
+
+
+def test_inverse_builds_the_identities_once_per_call(monkeypatch):
+    """inverse scans hom_set(f.cod, f.dom) with the two identities built
+    once, not once per candidate."""
+    sigma = make_injection(3, 3, (2, 0, 1))
+    built = []
+    real = core.identity
+
+    def counted(obj):
+        built.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(core, "identity", counted)
+    assert compose(sigma, inverse(sigma)) == real(FinSet(3))
+    assert len(hom_set(FinSet(3), FinSet(3))) == 6
+    assert len(built) <= 3  # one from is_identity, then one per end
 
 
 def test_pullback_along_identity():

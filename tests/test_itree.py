@@ -31,6 +31,8 @@ from atomkit import (
     validate_tree,
 )
 from atomkit.itree import (
+    _Builder,
+    _overlay,
     branch_index,
     c2prime_witness,
     canonical_form,
@@ -39,7 +41,6 @@ from atomkit.itree import (
     equalizer_of,
     regular_mono_witness,
     same_subtree,
-    subtree_at,
     tree_amalgamate,
 )
 
@@ -275,15 +276,19 @@ def test_regular_mono_equalizers_recover_images_exhaustively():
             assert same_subtree(incl, m)
 
 
-def test_subtree_at_reads_back_the_hanging_tree():
-    view = subtree_at(T5, (0, 1))
-    assert view.tree == T3
-    assert view.from_host == {1: (0, 0), 2: (0, 1), 3: (0, 2)}
-    assert view.tail_map == {}
-    comb = subtree_at(build(node(node(tail("i"), leaf()), leaf())), (0, 1))
-    assert comb.tree == TAIL_I
-    assert comb.from_host == {1: (0, 0), 2: (1, 0, 1, 0), 3: (1, 0, 1, 1)}
-    assert comb.tail_map == {2: 0}
+def _carved(host, addr):
+    """The denoted subtree of host below addr, overlaid on a point, with
+    where the host nodes and tails landed."""
+    out = _Builder(host, T1)
+    _overlay(out, None, None, None, addr, (0, 0), None)
+    return out.finish(), out.images[0], out.tails[0]
+
+
+def test_carving_a_subtree_places_the_host_nodes():
+    assert _carved(T5, (0, 1)) == (T3, [None, (0, 0), (0, 1), (0, 2), None], {})
+    comb = build(node(node(tail("i"), leaf()), leaf()))
+    assert _carved(comb, (0, 1)) == (
+        TAIL_I, [None, (0, 0), (1, 0, 1, 0), (1, 0, 1, 1), None], {2: 0})
 
 
 def test_c2prime_witness_on_equal_pair():
@@ -361,3 +366,55 @@ def test_canonical_pipeline_round_trips_every_small_tree():
         assert (padded == t) == (not t.tail_ids)
         assert canonical_form(padded) == t
         assert object_key(canonical_form(padded)) == object_key(t)
+
+
+def test_canonical_keys_decide_isomorphism_on_the_audit_pool():
+    """same_subtree tests its projections by the canonical keys of their
+    ends: on every arrow of the itree b2 pool, and on both projections of
+    the pullback of every cospan in it, the test agrees with is_iso."""
+    pool = backend("itree").objects_up_to(2)
+    arrows = [m for a in pool for b in pool for m in hom_set(a, b)]
+    squares = [pullback(f, g) for f in arrows for g in arrows
+               if f.cod == g.cod]
+    arrows += [p for sq in squares for p in (sq.to_left, sq.to_right)]
+    by_key = [m.dom.canonical_key == m.cod.canonical_key for m in arrows]
+    assert by_key == [is_iso(m) for m in arrows]
+    assert True in by_key and False in by_key
+    padded = build(node(node(tail("i"), leaf()), leaf()))
+    assert padded.key != TAIL_I.key
+    assert padded.canonical_key == TAIL_I.canonical_key == TAIL_I.key
+
+
+def test_same_subtree_agrees_with_the_iso_test_on_both_projections():
+    pool = backend("itree").objects_up_to(2)
+    arrows = [m for a in pool for b in pool for m in hom_set(a, b)]
+    pairs = [(m1, m2) for m1 in arrows for m2 in arrows if m1.cod == m2.cod]
+    got = [same_subtree(m1, m2) for m1, m2 in pairs]
+    squares = [pullback(m1, m2) for m1, m2 in pairs]
+    assert got == [is_iso(sq.to_left) and is_iso(sq.to_right)
+                   for sq in squares]
+    assert True in got and False in got
+    one_sided = [is_iso(sq.to_left) != is_iso(sq.to_right) for sq in squares]
+    assert True in one_sided
+
+
+def _mirrored(tree, i=0):
+    """The nested form of tree with the two children of every node
+    swapped: an isomorphic, usually non-canonical, encoding."""
+    if tree.kinds[i] == "internal":
+        a, b = tree.children[i]
+        return node(_mirrored(tree, b), _mirrored(tree, a))
+    return leaf() if tree.kinds[i] == "leaf" else tail(tree.labels[i])
+
+
+def test_regular_mono_witness_on_mirrored_encodings():
+    """Payloads need not be canonical: the witness pair of every mono into
+    a mirrored tree still has the image of the mono as its equalizer."""
+    pool = enumerate_trees(2, 5, ("i", "j"))
+    monos = [m for x in pool for t in pool
+             for m in enumerate_embeddings(x, build(_mirrored(t)))]
+    assert len(monos) > len(pool)
+    for m in monos:
+        _doubled, e1, e2 = regular_mono_witness(m)
+        _eq, incl = equalizer_of(e1, e2)
+        assert same_subtree(incl, m)
