@@ -440,6 +440,19 @@ def _equalized_pairs(m, objects):
             yield a, agree[ma]
 
 
+def _replayed(scan):
+    """A function whose every call iterates scan from the start, reading
+    scan itself once (a call must end before the next one starts)."""
+    drawn = []
+
+    def items():
+        yield from drawn
+        for item in scan:
+            drawn.append(item)
+            yield item
+    return items
+
+
 # ---------------------------------------------------------------------------
 # the checkers
 
@@ -475,9 +488,10 @@ def sheaf_check_quotient(atom: FormalAtom, q, depth: int) -> CheckVerdict:
     seeds = (atom.base, s_obj, t_obj)
     objects = checker_objects(atom.site, depth, seeds)
     covered = backend(atom.site).pairs_covered(depth, seeds, t_obj, s_obj)
+    pairs = _replayed(_equalized_pairs(q, objects))
 
     def separated(f) -> bool:
-        for alpha, betas in _equalized_pairs(q, objects):
+        for alpha, betas in pairs():
             fa = compose(f, alpha)
             for beta in betas:
                 fb = compose(f, beta)
@@ -513,15 +527,7 @@ def self_intersection_check(f, depth: int) -> CheckVerdict:
     objects = checker_objects(f.site, depth, (a_obj, b_obj))
     covered = backend_of(f).pairs_covered(depth, (a_obj, b_obj), b_obj, a_obj)
 
-    drawn, scan = [], _equalized_pairs(f, objects)
-
-    def pairs():
-        """The equalized pairs, scanned once per call: a pass replays the
-        pairs earlier passes drew and scans on only as far as it reads."""
-        yield from drawn
-        for pair in scan:
-            drawn.append(pair)
-            yield pair
+    pairs = _replayed(_equalized_pairs(f, objects))
 
     def excludes(u, hom_y_b) -> bool:
         for alpha, betas in pairs():

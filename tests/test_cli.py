@@ -9,20 +9,44 @@ import pytest
 
 from atomkit import (
     FinSet,
+    Span,
+    amalgamate,
+    atom_compose,
+    atom_hom,
+    atom_iso_formal,
     aut_group,
+    backend,
     build,
+    c2prime_chain,
+    canonical_json,
+    decode_atom,
+    decode_fragment,
+    decode_morphism,
+    decode_object,
     encode_atom,
     encode_fragment,
     encode_morphism,
     encode_object,
     enumerate_embeddings,
+    hom_set,
+    identity,
     leaf,
+    local_iso_check,
     make_atom,
     make_injection,
+    morphism_key,
     node,
+    object_key,
+    pullback,
+    self_intersection_check,
+    stabilizer,
+    support_element,
+    tail,
+    tree_stats,
     unordered_pairs_fragment,
 )
 from atomkit import cli
+from atomkit.audit import _regular_mono_row, verify_chain
 from atomkit.cli import main
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -293,3 +317,170 @@ def test_an_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: RuntimeError: planted fault\n"
+
+
+# ---------------------------------------------------------------------------
+# each command's success path prints the payload of the library calls
+
+def _data(name):
+    return json.loads((DATA / name).read_text(encoding="utf-8"))
+
+
+def _expect(capsys, argv, payload, code=0):
+    assert main(argv) == code
+    assert capsys.readouterr().out == canonical_json(payload) + "\n"
+
+
+def _verdict(verdict, **fields):
+    return {**fields, "status": verdict.status, "witness": verdict.witness,
+            "depth": verdict.depth_used}
+
+
+ROOT_IN_T3 = str(DATA / "root_in_t3.json")
+T3_MOD_AUT = str(DATA / "t3_mod_aut.json")
+UNORDERED = str(DATA / "unordered.json")
+SWAP = make_injection(2, 2, (1, 0))
+ORDERED_2 = make_atom(FinSet(2))
+UNORDERED_2 = make_atom(FinSet(2), (SWAP,))
+
+
+def _atom_map_payload(m):
+    return {"source": encode_atom(m.source), "target": encode_atom(m.target),
+            "rep": encode_morphism(m.rep)}
+
+
+def test_tree_validate_accepts_a_valid_tree(capsys):
+    t = decode_object(_data("t3.json"))
+    stats = tree_stats(t)
+    _expect(capsys, ["tree", "validate", str(DATA / "t3.json")],
+            {"valid": True, "key": object_key(t),
+             "branch_count": stats.branch_count, "f_count": stats.f_count})
+
+
+def test_tree_amalgamate(tmp_path, capsys):
+    f = decode_morphism(_data("root_in_t3.json"))
+    g = enumerate_embeddings(T1, build(tail("i")))[0]
+    cone = amalgamate(Span(f, g))
+    _expect(capsys, ["tree", "amalgamate", ROOT_IN_T3,
+                     _write(tmp_path, "g.json", encode_morphism(g))],
+            {"object": object_key(cone.obj),
+             "from_left": morphism_key(cone.from_left),
+             "from_right": morphism_key(cone.from_right)})
+
+
+def test_tree_pullback(tmp_path, capsys):
+    f = decode_morphism(_data("root_in_t3.json"))
+    g = enumerate_embeddings(T3, T3)[1]
+    square = pullback(f, g)
+    _expect(capsys, ["tree", "pullback", ROOT_IN_T3,
+                     _write(tmp_path, "g.json", encode_morphism(g))],
+            {"apex": object_key(square.apex),
+             "to_left": morphism_key(square.to_left),
+             "to_right": morphism_key(square.to_right)})
+
+
+def test_tree_regmono(capsys):
+    m = decode_morphism(_data("root_in_t3.json"))
+    verdict = _regular_mono_row(m)
+    assert verdict.status == "pass"
+    _expect(capsys, ["tree", "regmono", ROOT_IN_T3],
+            _verdict(verdict, mono=morphism_key(m)))
+
+
+def test_tree_c2prime_on_a_zigzag(tmp_path, capsys):
+    z = build(node(tail("i"), node(leaf(), leaf())))
+    target = build(node(tail("i"), node(tail("i"), tail("i"))))
+    f = next(m for m in hom_set(build(tail("i")), z)
+             if morphism_key(m) == "T(i)>(T(i) (L L)):0:0,0|0>1")
+    g = hom_set(build(node(leaf(), node(leaf(), leaf()))), z)[0]
+    u, v = (m for m in hom_set(z, target) if morphism_key(m) in (
+        "(T(i) (L L))>(T(i) (T(i) T(i))):"
+        "0:0,0;1:0,2;2:0,1;3:1,1,1,0;4:1,1,1,1|1>3",
+        "(T(i) (L L))>(T(i) (T(i) T(i))):"
+        "0:0,0;1:0,2;2:0,1;3:1,1,1,1;4:1,1,1,0|1>4"))
+    square = pullback(f, g)
+    w, chain = c2prime_chain(square, u, v)
+    assert len(chain) == 3 and verify_chain(square, u, v, w, chain)
+    files = [_write(tmp_path, "%s.json" % name, encode_morphism(m))
+             for name, m in zip("fguv", (f, g, u, v))]
+    _expect(capsys, ["tree", "c2prime"] + files,
+            {"verified": True, "chain_length": 3, "w": morphism_key(w),
+             "chain": [morphism_key(k) for k in chain],
+             "target": object_key(w.cod)})
+
+
+def test_atoms_make(capsys):
+    atom = decode_atom(_data("t3_mod_aut.json"))
+    _expect(capsys, ["atoms", "make", T3_MOD_AUT],
+            {"atom": atom.describe(), "group_order": atom.group.order,
+             "aut_order": aut_group(atom.base).order})
+
+
+def test_atoms_compose(tmp_path, capsys):
+    f = atom_hom(make_atom(FinSet(3)), ORDERED_2)[2]
+    g = atom_hom(ORDERED_2, UNORDERED_2)[0]
+    h = atom_compose(f, g)
+    path = _write(tmp_path, "fg.json", {"f": _atom_map_payload(f),
+                                        "g": _atom_map_payload(g)})
+    _expect(capsys, ["atoms", "compose", "--site", "finsetinj", path],
+            {"source": h.source.describe(), "target": h.target.describe(),
+             "rep": morphism_key(h.rep), "variant": h.variant})
+
+
+def test_atoms_iso_exits_zero_on_isomorphic_atoms(capsys):
+    atom = decode_atom(_data("t3_mod_aut.json"))
+    fwd, back = atom_iso_formal(atom, atom, "derived")
+    _expect(capsys, ["atoms", "iso", T3_MOD_AUT, T3_MOD_AUT],
+            {"isomorphic": True, "forward": morphism_key(fwd.rep),
+             "backward": morphism_key(back.rep)})
+
+
+def test_atoms_iso_exits_one_on_other_atoms(tmp_path, capsys):
+    assert atom_iso_formal(ORDERED_2, UNORDERED_2, "derived") is None
+    _expect(capsys, ["atoms", "iso",
+                     _write(tmp_path, "a.json", encode_atom(ORDERED_2)),
+                     _write(tmp_path, "b.json", encode_atom(UNORDERED_2))],
+            {"isomorphic": False, "a": ORDERED_2.describe(),
+             "b": UNORDERED_2.describe()}, 1)
+
+
+def test_atoms_quotient(capsys):
+    atom = decode_atom(_data("t3_mod_aut.json"))
+    src = make_atom(atom.base, ())
+    _expect(capsys, ["atoms", "quotient", T3_MOD_AUT],
+            {"source": src.describe(), "target": atom.describe(),
+             "rep": morphism_key(identity(atom.base)), "variant": "derived"})
+
+
+def test_presheaf_support(capsys):
+    frag = decode_fragment(_data("unordered.json"))
+    y, m, name = support_element(frag, frag.object_for("2"), "{0}")
+    _expect(capsys, ["presheaf", "support", UNORDERED, "2", "{0}"],
+            {"object": object_key(y), "mono": morphism_key(m),
+             "preimage": name, "full": object_key(y) == "2"})
+
+
+def test_presheaf_stabilizer(capsys):
+    frag = decode_fragment(_data("unordered.json"))
+    grp = stabilizer(frag, frag.object_for("2"), "{0,1}")
+    assert grp.order == 2
+    _expect(capsys, ["presheaf", "stabilizer", UNORDERED, "2", "{0,1}"],
+            {"order": grp.order, "group": "Sym2",
+             "elements": [morphism_key(s) for s in grp.elements]})
+
+
+def test_presheaf_selfint(capsys):
+    m = decode_morphism(_data("root_in_t3.json"))
+    verdict = self_intersection_check(m, 2)
+    assert verdict.status == "fail"
+    _expect(capsys, ["presheaf", "selfint", "--depth", "2", ROOT_IN_T3],
+            _verdict(verdict), 1)
+
+
+def test_presheaf_localiso(tmp_path, capsys):
+    m = atom_hom(make_atom(FinSet(3)), ORDERED_2)[2]
+    verdict = local_iso_check(m, backend("finsetinj").objects_up_to(2), 3)
+    assert verdict.status == "pass"
+    _expect(capsys, ["presheaf", "localiso", "--site", "finsetinj",
+                     _write(tmp_path, "m.json", _atom_map_payload(m))],
+            _verdict(verdict))

@@ -309,6 +309,64 @@ def test_c2prime_witness_coincidence_conditions():
     assert compose(sq.right, w) == compose(sq.right, v)
 
 
+def _by_key(dom, cod, key):
+    return next(m for m in hom_set(dom, cod) if morphism_key(m) == key)
+
+
+def test_c2prime_witness_routes_the_tails_of_the_ambient_tree():
+    z = build(node(tail("i"), node(leaf(), leaf())))
+    target = build(node(tail("i"), node(tail("i"), tail("i"))))
+    f = _by_key(TAIL_I, z, "T(i)>(T(i) (L L)):0:0,0|0>1")
+    g = _by_key(build(node(leaf(), node(leaf(), leaf()))), z,
+                "(L (L L))>(T(i) (L L)):0:0,0;1:0,1;2:0,2;3:0,3;4:0,4|")
+    u = _by_key(z, target, "(T(i) (L L))>(T(i) (T(i) T(i))):"
+                "0:0,0;1:0,2;2:0,1;3:1,1,1,0;4:1,1,1,1|1>3")
+    v = _by_key(z, target, "(T(i) (L L))>(T(i) (T(i) T(i))):"
+                "0:0,0;1:0,2;2:0,1;3:1,1,1,1;4:1,1,1,0|1>4")
+    assert compose(f, u) != compose(f, v) and compose(g, u) != compose(g, v)
+    w = c2prime_witness(pullback(f, g), u, v)
+    assert morphism_key(w) == ("(T(i) (L L))>(T(i) (T(i) T(i))):"
+                               "0:0,0;1:0,2;2:0,1;3:1,1,1,1;4:1,1,1,0|1>3")
+    assert compose(f, w) == compose(f, u)
+    assert compose(g, w) == compose(g, v)
+
+
+def test_c2prime_witness_on_every_small_zigzag_with_a_tail():
+    """Every pair out of a tree with a tail and at most 5 nodes that agrees
+    on the meet of two legs but on neither leg.  All such pairs in the
+    pool sit on (T(i) (L L)) or (T(j) (L L)), which the swap of i and j
+    exchanges, so only ambient trees without j are swept.  Isos and equal
+    legs are skipped: on them agreeing on the meet is agreeing on a leg."""
+    pool = enumerate_trees(3, 7, ("i", "j"))
+    count = 0
+    for z in pool:
+        if not z.tail_ids or z.n_nodes > 5 or "j" in z.labels:
+            continue
+        legs = [m for x in pool for m in hom_set(x, z) if not is_iso(m)]
+        homs = [hom_set(z, a) for a in pool]
+        rows: dict = {}  # h -> h;u for each u, hom-set by hom-set
+
+        def row(h):
+            if h not in rows:
+                rows[h] = [[compose(h, u) for u in hom] for hom in homs]
+            return rows[h]
+
+        for f, g in itertools.product(legs, legs):
+            if f == g:
+                continue
+            square = pullback(f, g)
+            meet = compose(square.to_left, f)
+            for hom, rf, rg, rm in zip(homs, row(f), row(g), row(meet)):
+                for (a, u), (b, v) in itertools.product(enumerate(hom),
+                                                        repeat=2):
+                    if rm[a] == rm[b] and rf[a] != rf[b] and rg[a] != rg[b]:
+                        w = c2prime_witness(square, u, v)
+                        assert compose(f, w) == rf[a]
+                        assert compose(g, w) == rg[b]
+                        count += 1
+    assert count == 720
+
+
 def test_proper_subtrees_have_smaller_rank_at_small_bound():
     pool = enumerate_trees(2, 5, ("i", "j"))
     for x, y in itertools.product(pool, pool):

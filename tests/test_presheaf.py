@@ -253,6 +253,23 @@ def test_self_intersection_draws_each_equalized_pair_once(monkeypatch, f,
                                                           depth):
     """Several arrows reach the pair test here; they share one scan, which
     hands out each pair once, in scan order."""
+    drawn = _count_draws(monkeypatch)
+    self_intersection_check(f, depth)
+    objects = checker_objects(f.site, depth, (f.dom, f.cod))
+    _assert_drawn_once(drawn, f, objects)
+
+
+def test_sheaf_check_draws_each_equalized_pair_once(monkeypatch):
+    """Several classes over T do not descend here; they share one scan."""
+    atom, q = make_atom(FinSet(3)), make_injection(2, 3, (0, 1))
+    drawn = _count_draws(monkeypatch)
+    assert sheaf_check_quotient(atom, q, 2).status == "pass"
+    objects = checker_objects(atom.site, 2, (atom.base, q.dom, q.cod))
+    _assert_drawn_once(drawn, q, objects)
+
+
+def _count_draws(monkeypatch) -> list:
+    """Record every pair the checkers draw from _equalized_pairs."""
     scan, drawn = presheaf._equalized_pairs, []
 
     def counted(m, objects):
@@ -261,9 +278,12 @@ def test_self_intersection_draws_each_equalized_pair_once(monkeypatch, f,
             yield alpha, betas
 
     monkeypatch.setattr(presheaf, "_equalized_pairs", counted)
-    self_intersection_check(f, depth)
-    objects = checker_objects(f.site, depth, (f.dom, f.cod))
-    every = [(alpha, tuple(betas)) for alpha, betas in scan(f, objects)]
+    return drawn
+
+
+def _assert_drawn_once(drawn, m, objects):
+    every = [(alpha, tuple(betas))
+             for alpha, betas in _equalized_pairs(m, objects)]
     assert len(drawn) > 1
     assert drawn == every[:len(drawn)]
 
