@@ -214,6 +214,19 @@ def audit_c2prime(site: str, bound: int) -> AuditReport:
     Only rows that need the site's zigzag call c2prime_chain and
     verify_chain, which run every check on the square.
 
+    A pair of nested legs needs no pullback.  below[j] is the set of
+    arrows w;g with w out of a listed object into the domain of the j-th
+    leg g; every leg's domain is listed, so f is in it exactly when f
+    factors through g.  Every arrow of both sites is mono.  If f = w;g,
+    the square (id, w) is a pullback of (f, g): a cone a;f == b;g gives
+    b;g == a;w;g, so b = a;w as g is mono, and a is its one factor.  So
+    the site's square has an iso s as to_left, and its meet s;f groups
+    every hom-set out of z as f does: s;f;u == s;f;v exactly when
+    f;u == f;v.  The audit takes f as the meet; when g = w;f instead, it
+    takes g, by the same argument with the legs swapped.  Every row of
+    such a pair agrees on the leg that is the meet, so it has length 1
+    or 2 and needs no square.
+
     One pullback is computed per unordered pair of legs: the rows of
     (g, f) reuse the meet of (f, g).  Both squares are pullbacks of the
     same cospan with the legs swapped, so with primes marking the
@@ -245,13 +258,20 @@ def audit_c2prime(site: str, bound: int) -> AuditReport:
         tables = _ClassTables(arrows, groups, memo)
         legs = [m for x in objects for m in memo.homs(x, z)]
         leg_keys = [morphism_key(f) for f in legs]
+        below = [{memo.compose(w, g) for y in objects
+                  for w in memo.homs(y, g.dom)} for g in legs]
         meets: dict = {}
         for i, f in enumerate(legs):
             cf = tables[f][0]
             for j, g in enumerate(legs):
                 cg = tables[g][0]
+                square = None
                 if i > j:
-                    square, meet = None, meets.pop((i, j))
+                    meet = meets.pop((i, j))
+                elif f in below[j]:
+                    meet = meets[j, i] = f
+                elif g in below[i]:
+                    meet = meets[j, i] = g
                 else:
                     square = pullback(f, g)
                     meet = meets[j, i] = memo.compose(square.to_left, f)

@@ -33,11 +33,17 @@ from .presheaf import (compute_K, decode_fragment, decompose, local_iso_check,
 
 
 def _emit(data, args) -> None:
+    """Write --out first, so a path that cannot be written exits 2 with
+    nothing on stdout."""
     text = canonical_json(data)
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise SiteError("cannot write %s: %s"
+                            % (args.out, exc.strerror)) from exc
     print(text)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------

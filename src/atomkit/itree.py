@@ -872,15 +872,21 @@ def equalizer_of(e1: TreeEmbedding, e2: TreeEmbedding):
 
 
 def same_subtree(m1: TreeEmbedding, m2: TreeEmbedding) -> bool:
-    """Whether two embeddings into the same tree have equal images: both
-    projections of their pullback are isos, tested by the canonical keys
-    of their ends.  An embedding e: X -> Y between isomorphic trees is an
-    iso: for an iso s: Y -> X, e;s is an endomorphism, hence (aut_group's
-    level argument) an automorphism with some inverse a, so e;(s;a) = id
-    and e is the inverse of the iso s;a."""
-    square = tree_pullback(m1, m2)
-    key = square.apex.canonical_key
-    return key == m1.dom.canonical_key and key == m2.dom.canonical_key
+    """Whether two embeddings into the same tree have equal images: each
+    factors through the other.  If m1 = w;m2 and m2 = w';m1, then
+    m1 = w;w';m1, so w;w' = id as m1 is mono, and likewise w';w = id:
+    w is an iso, and m1 = w;m2 has the image of m2.  Conversely, if both projections
+    p1, p2 of their pullback are isos, m1 = p1^-1;p2;m2, and likewise
+    for m2.  w is found by scanning every embedding m1.dom -> m2.dom for
+    w;m2 == m1, and w' the same way."""
+    return _factors(m1, m2) and _factors(m2, m1)
+
+
+def _factors(h: TreeEmbedding, m: TreeEmbedding) -> bool:
+    """Whether h = w;m for some embedding w."""
+    ident = identity_embedding(h.dom)
+    return any(commutes(w, m, ident, h)
+               for w in enumerate_embeddings(h.dom, m.dom))
 
 
 # ---------------------------------------------------------------------------

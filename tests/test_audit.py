@@ -335,6 +335,50 @@ def test_swapped_squares_group_every_hom_set_alike(site, bound):
                         == _grouping(meets[1], arrows)
 
 
+def _factors(h, m) -> bool:
+    """Whether h = w;m for some arrow w, by a scan of hom(dom h, dom m)."""
+    return any(compose(w, m) == h for w in hom_set(h.dom, m.dom))
+
+
+@pytest.mark.parametrize("site, bound, pullbacks", [("itree", 2, 66),
+                                                    ("finsetinj", 3, 44)])
+def test_c2prime_builds_pullbacks_only_for_legs_that_do_not_nest(
+        monkeypatch, site, bound, pullbacks):
+    calls = []
+    real = audit.pullback
+
+    def counted(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(audit, "pullback", counted)
+    audit_c2prime(site, bound)
+    assert len(calls) == pullbacks
+    assert not any(_factors(f, g) or _factors(g, f) for f, g in calls)
+
+
+@pytest.mark.parametrize("site, bound", [("itree", 2), ("finsetinj", 3)])
+def test_a_leg_another_factors_through_groups_like_the_meet(site, bound):
+    """The C2' audit takes that leg as the meet of a nested leg pair."""
+    objects = backend(site).objects_up_to(bound)
+    nested = 0
+    for z in objects:
+        legs = [m for x in objects for m in hom_set(x, z)]
+        outs = [hom_set(z, a) for a in objects]
+        for i, f in enumerate(legs):
+            for g in legs[i:]:
+                for inner, outer in ((f, g), (g, f)):
+                    if not _factors(inner, outer):
+                        continue
+                    nested += 1
+                    square = pullback(f, g)
+                    meet = compose(square.to_left, f)
+                    for arrows in outs:
+                        assert _grouping(inner, arrows) \
+                            == _grouping(meet, arrows)
+    assert nested > 0
+
+
 def _reference_c1(site: str, bound: int) -> AuditReport:
     """The C1 audit as the plain loop: no memo, and a fresh verdict on
     every row."""

@@ -155,6 +155,18 @@ def test_unreadable_file_is_a_usage_error(capsys):
     assert main(["tree", "stats", "/nonexistent/nothing.json"]) == 2
 
 
+def test_an_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    """--out is written before stdout, so nothing is printed."""
+    out = tmp_path / "missing" / "x.json"
+    assert main(["tree", "stats", "--out", str(out),
+                 str(DATA / "t3.json")]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == "error: cannot write %s: No such file or " \
+        "directory\n" % out
+    assert not out.exists()
+
+
 def test_backend_mismatch_is_a_usage_error(tmp_path, capsys):
     f = _write(tmp_path, "t3.json", encode_object(T3))
     assert main(["presheaf", "decompose", "--site", "finsetinj", f]) == 2

@@ -427,9 +427,9 @@ def test_canonical_pipeline_round_trips_every_small_tree():
 
 
 def test_canonical_keys_decide_isomorphism_on_the_audit_pool():
-    """same_subtree tests its projections by the canonical keys of their
-    ends: on every arrow of the itree b2 pool, and on both projections of
-    the pullback of every cospan in it, the test agrees with is_iso."""
+    """An arrow is an iso exactly when its ends have equal canonical keys:
+    on every arrow of the itree b2 pool, and on both projections of the
+    pullback of every cospan in it, the key test agrees with is_iso."""
     pool = backend("itree").objects_up_to(2)
     arrows = [m for a in pool for b in pool for m in hom_set(a, b)]
     squares = [pullback(f, g) for f in arrows for g in arrows
