@@ -875,18 +875,24 @@ def same_subtree(m1: TreeEmbedding, m2: TreeEmbedding) -> bool:
     """Whether two embeddings into the same tree have equal images: each
     factors through the other.  If m1 = w;m2 and m2 = w';m1, then
     m1 = w;w';m1, so w;w' = id as m1 is mono, and likewise w';w = id:
-    w is an iso, and m1 = w;m2 has the image of m2.  Conversely, if both projections
-    p1, p2 of their pullback are isos, m1 = p1^-1;p2;m2, and likewise
-    for m2.  w is found by scanning every embedding m1.dom -> m2.dom for
-    w;m2 == m1, and w' the same way."""
+    w is an iso, and m1 = w;m2 has the image of m2.  Conversely, equal
+    images of monos give each a factorisation through the other."""
     return _factors(m1, m2) and _factors(m2, m1)
 
 
 def _factors(h: TreeEmbedding, m: TreeEmbedding) -> bool:
-    """Whether h = w;m for some embedding w."""
-    ident = identity_embedding(h.dom)
-    return any(commutes(w, m, ident, h)
-               for w in enumerate_embeddings(h.dom, m.dom))
+    """Whether h = w;m for some embedding w, read off the preimage of m
+    without a search: whether the image of h lies in that of m and m
+    routes a tail to every tail h routes to.  Then w(x) = pre(h(x)) on
+    explicit nodes, and w routes a tail t to the tail r that m routes to
+    s = h.route(t), so w;m == h by construction.  w is an embedding: m
+    sends the children of an internal node onto those of its image, no
+    child of the image of a denoted leaf lies in the image of m, and m
+    sends the branch of r, a path from the root, onto that of s, so
+    w(t) lies on it."""
+    pre, routed = preimage_fn(m), {s for _r, s, _e in m.tail_routes}
+    return (all(pre(a) is not None for a in h.explicit_images)
+            and all(s in routed for _t, s, _e in h.tail_routes))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from atomkit import (
     tree_stats,
     unordered_pairs_fragment,
 )
-from atomkit import cli
+from atomkit import cli, itree
 from atomkit.audit import _regular_mono_row, verify_chain
 from atomkit.cli import main
 
@@ -396,6 +396,28 @@ def test_tree_regmono(capsys):
     verdict = _regular_mono_row(m)
     assert verdict.status == "pass"
     _expect(capsys, ["tree", "regmono", ROOT_IN_T3],
+            _verdict(verdict, mono=morphism_key(m)))
+
+
+def _perfect(depth):
+    return leaf() if depth == 0 else node(_perfect(depth - 1),
+                                          _perfect(depth - 1))
+
+
+def test_tree_regmono_on_the_identity_of_a_large_tree(tmp_path, capsys,
+                                                     monkeypatch):
+    """The perfect binary tree of depth 5 has 63 nodes and 2^31
+    automorphisms: its equalizer inclusion is compared with the identity
+    without a scan of the embeddings between them."""
+    def refuse(*_args):
+        raise AssertionError("enumerate_embeddings called")
+
+    monkeypatch.setattr(itree, "enumerate_embeddings", refuse)
+    m = identity(build(_perfect(5)))
+    f = _write(tmp_path, "id.json", encode_morphism(m))
+    verdict = _regular_mono_row(m)
+    assert verdict.status == "pass"
+    _expect(capsys, ["tree", "regmono", f],
             _verdict(verdict, mono=morphism_key(m)))
 
 

@@ -32,6 +32,7 @@ from atomkit import (
 )
 from atomkit.itree import (
     _Builder,
+    _factors,
     _overlay,
     branch_index,
     c2prime_witness,
@@ -476,3 +477,20 @@ def test_regular_mono_witness_on_mirrored_encodings():
         _doubled, e1, e2 = regular_mono_witness(m)
         _eq, incl = equalizer_of(e1, e2)
         assert same_subtree(incl, m)
+
+
+def test_factors_agrees_with_a_scan_of_the_embeddings():
+    """_factors reads a factorisation off the preimage of m; a scan of
+    every w: dom h -> dom m for w;m == h finds the same answer, on
+    mirrored ambient trees with tails of both labels."""
+    pool = enumerate_trees(2, 6, ("i", "j"))
+    found = []
+    for t in pool:
+        z = build(_mirrored(t))
+        arrows = [m for x in pool for m in enumerate_embeddings(x, z)]
+        for h, m in itertools.product(arrows, repeat=2):
+            scan = any(compose(w, m) == h
+                       for w in enumerate_embeddings(h.dom, m.dom))
+            assert _factors(h, m) == scan
+            found.append(scan)
+    assert True in found and False in found
