@@ -11,8 +11,9 @@ audits of the site conditions.
 from . import finsetinj as _finsetinj  # noqa: F401  registers the backend
 from . import itree as _itree  # noqa: F401  registers the backend
 from .atoms import (AtomMap, CoeqTrace, FormalAtom, atom_compose, atom_hom,
-                    atom_identity, atom_iso_formal, coequalize_representables,
-                    decode_atom, encode_atom, make_atom, rep_is_valid)
+                    atom_identity, atom_iso_formal, class_rep,
+                    coequalize_representables, decode_atom, encode_atom,
+                    make_atom, rep_is_valid)
 from .audit import (AuditReport, atom_chain, audit_c1, audit_c2prime,
                     audit_c3, audit_c4, c2prime_chain, extend_parallel_pair)
 from .core import (AutGroup, Cocone, Cospan, PullbackSquare, RankValue,
@@ -27,8 +28,8 @@ from .itree import (FinitaryTree, TreeEmbedding, build, enumerate_embeddings,
                     node, tail, tree_stats, validate_tree)
 from .presheaf import (AtomComponent, CheckVerdict, ClosureError,
                        Decomposition, KResult, PresheafFragment,
-                       assert_pullback_closed, checker_objects, class_rep,
-                       compute_K, decode_fragment, decompose, encode_fragment,
+                       assert_pullback_closed, checker_objects, compute_K,
+                       decode_fragment, decompose, encode_fragment,
                        fragment_from_tables, local_iso_check,
                        ordered_pairs_fragment, quotient_classes,
                        quotient_fragment, representable_fragment,

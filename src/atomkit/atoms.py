@@ -25,14 +25,14 @@ from .core import (AutGroup, PullbackSquare, SiteError, Value, compose,
                    is_iso, object_key, pullback, sort_key, subgroup_generated)
 
 VARIANTS = ("derived", "paper")
+MAX_COEQ_STEPS = 64  # pullback steps before coequalize_representables gives up
 
 
 class FormalAtom(Value):
     _fields = ("base", "group")
 
     def __init__(self, base, group: AutGroup):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "group", group)
+        super().__init__(base, group)
         if group.obj != base:
             raise SiteError("atom group must consist of automorphisms of the base")
 
@@ -69,10 +69,13 @@ def _canonical_rep(source: FormalAtom, target: FormalAtom, rep, variant: str):
     by a source-group automorphism behind.
     """
     if variant == "derived":
-        orbit = (compose(h, rep) for h in target.group.elements)
-    else:
-        orbit = (compose(rep, s) for s in source.group.elements)
-    return min(orbit, key=sort_key)
+        return class_rep(target.group, rep)
+    return min((compose(rep, s) for s in source.group.elements), key=sort_key)
+
+
+def class_rep(group: AutGroup, f):
+    """Least member of the orbit of f under precomposition by the group."""
+    return min((compose(s, f) for s in group.elements), key=sort_key)
 
 
 class AtomMap(Value):
@@ -83,17 +86,14 @@ class AtomMap(Value):
 
     def __init__(self, source: FormalAtom, target: FormalAtom, rep,
                  variant: str = "derived"):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "variant", variant)
         if rep.dom != target.base or rep.cod != source.base:
             raise SiteError("atom map representative must run target base -> "
                             "source base")
         if not rep_is_valid(source, target, rep, variant):
             raise SiteError("arrow does not represent a map of atoms "
                             "(variant %r)" % variant)
-        object.__setattr__(self, "rep",
-                           _canonical_rep(source, target, rep, variant))
+        super().__init__(source, target,
+                         _canonical_rep(source, target, rep, variant), variant)
 
 
 def atom_identity(atom: FormalAtom, variant: str = "derived") -> AtomMap:
@@ -150,17 +150,15 @@ def encode_atom(atom: FormalAtom) -> dict:
 
 
 def decode_atom(data: dict, site: str | None = None) -> FormalAtom:
+    if not isinstance(data, dict):
+        raise SiteError("atom payload must be a JSON object")
     if "base" not in data:
         raise SiteError("atom payload needs a 'base' field")
     base = decode_object(data["base"], site)
     rows = data.get("generators", [])
     if not isinstance(rows, list):
         raise SiteError("atom 'generators' must be a list")
-    gens = tuple(decode_morphism(row, base.site) for row in rows)
-    for g in gens:
-        if g.dom != base or g.cod != base:
-            raise SiteError("atom generator is not an endomorphism of the base")
-    return make_atom(base, gens)
+    return make_atom(base, (decode_morphism(row, base.site) for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -177,35 +175,28 @@ class CoeqTrace(Value):
 
     _fields = ("alpha", "beta", "steps", "result", "sigma", "quotient_rep")
 
-    def __init__(self, alpha, beta, steps: tuple[PullbackSquare, ...],
-                 result: FormalAtom, sigma, quotient_rep):
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "result", result)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "quotient_rep", quotient_rep)
-
     def quotient_map(self, variant: str = "derived") -> AtomMap:
         src = FormalAtom(self.alpha.dom, subgroup_generated(self.alpha.dom, ()))
         return AtomMap(src, self.result, self.quotient_rep, variant)
 
 
-def coequalize_representables(alpha, beta, max_steps: int = 64) -> CoeqTrace:
+def coequalize_representables(alpha, beta) -> CoeqTrace:
     """Coequalize the pair of atom maps represented by alpha and beta.
 
     The pair is replaced by the legs of its pullback until both arrows
     are invertible; gluing along an invertible pair is a quotient by
     the cyclic group the mismatch generates.  Each replacement strictly
-    drops the rank of the domain, so the loop always finishes.
+    drops the rank of the domain, so the loop always finishes; the
+    MAX_COEQ_STEPS guard only catches bugs.
     """
     if alpha.dom != beta.dom or alpha.cod != beta.cod:
         raise SiteError("coequalizer needs a parallel pair")
     p, q = alpha, beta
     steps: list[PullbackSquare] = []
     while not (is_iso(p) and is_iso(q)):
-        if len(steps) >= max_steps:
-            raise SiteError("coequalizer iteration exceeded %d steps" % max_steps)
+        if len(steps) >= MAX_COEQ_STEPS:
+            raise SiteError("coequalizer iteration exceeded %d steps"
+                            % MAX_COEQ_STEPS)
         square = pullback(p, q)
         steps.append(square)
         p, q = square.to_left, square.to_right

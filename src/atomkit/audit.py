@@ -17,6 +17,8 @@ from .core import (Span, SiteError, Value, amalgamate, aut_group, backend,
                    subgroup_generated)
 from .presheaf import CheckVerdict
 
+MAX_CHAIN_STEPS = 32  # steps before atom_chain gives up
+
 
 class AuditReport(Value):
     """The (instance key, verdict) rows of one audit, in loop order.
@@ -28,12 +30,6 @@ class AuditReport(Value):
     """
 
     _fields = ("condition", "bound", "verdicts")
-
-    def __init__(self, condition: str, bound: int,
-                 verdicts: tuple[tuple[str, CheckVerdict], ...]):
-        object.__setattr__(self, "condition", condition)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "verdicts", verdicts)
 
     @property
     def passed(self) -> bool:
@@ -422,17 +418,18 @@ def _next_atom(cur: FormalAtom):
     return None
 
 
-def atom_chain(start: FormalAtom, max_steps: int = 32) -> list[FormalAtom]:
+def atom_chain(start: FormalAtom) -> list[FormalAtom]:
     """Repeated coequalizer/quotient steps from an atom until stable.
 
     Base steps strictly drop the base rank, group steps strictly grow
-    the group, so the chain stabilizes; the guard only catches bugs.
+    the group, so the chain stabilizes; the MAX_CHAIN_STEPS guard only
+    catches bugs.
     """
     chain = [start]
-    for _ in range(max_steps):
+    for _ in range(MAX_CHAIN_STEPS):
         nxt = _next_atom(chain[-1])
         if nxt is None:
             return chain
         chain.append(nxt)
     raise SiteError("atom chain failed to stabilize within %d steps"
-                    % max_steps)
+                    % MAX_CHAIN_STEPS)

@@ -26,27 +26,28 @@ class Value:
 
     A subclass names its fields in _fields, in constructor order, and the
     fields that equality and hashing compare in _compare (all of them
-    unless it says otherwise).  Its __init__ sets each field once; after
-    that the instance refuses assignment and deletion.  Two instances of
-    one class are equal when their compared fields are, and an instance
-    hashes as the tuple of its compared fields, hash(x) == hash((x.a,
-    x.b)): the iteration order of a set of values, and so every output
-    that lists one, rests on that hash.  cached_property and the tree
-    builder's stored indices write to the instance dict directly, which
-    the guard does not block.
+    unless it says otherwise).  Value.__init__ takes one value per field,
+    in that order, and sets each once; after that the instance refuses
+    assignment and deletion.  Two instances of one class are equal when
+    their compared fields are, and an instance hashes as the tuple of its
+    compared fields, hash(x) == hash((x.a, x.b)): the iteration order of
+    a set of values, and so every output that lists one, rests on that
+    hash.  cached_property and the tree builder's stored indices write to
+    the instance dict directly, which the guard does not block.
 
-    FinitaryTree, TreeEmbedding, Span, Cospan, Cocone and PullbackSquare
-    set their fields in one step, self.__dict__.update(...): for four
-    fields that takes about 500 ns against 800 ns for four
-    object.__setattr__ calls (Python 3.11.7), and one audit builds them
-    by the thousand.  Reading __dict__ gives the instance a dict object
-    of its own; trees and embeddings mostly have one anyway (their
-    cached properties live there), and the four core results are
-    short-lived.  The other classes keep one object.__setattr__ per
-    field, which leaves the values in the instance's compact inline
-    storage: a CheckVerdict takes 105 bytes that way and 248 with its
-    own dict, and audits and checkers keep one per row, while Injection
-    and FinSet are the values the finsetinj checkers make most.
+    A subclass writes an __init__ only to check or derive fields, then
+    calls Value.__init__ (FinSet, RankValue, FormalAtom, AtomMap,
+    CheckVerdict, PresheafFragment), or for a measured hot path.
+    Injection sets its three fields by hand: a checkers pass builds about
+    243,000, and the generic loop takes about 1.6 us per value against
+    1.0 us (Python 3.11.7).  FinitaryTree, TreeEmbedding, Span, Cospan,
+    Cocone and PullbackSquare, which one audit builds by the thousand,
+    set theirs in one self.__dict__.update(...), about 500 ns for four
+    fields.  That gives each a dict object of its own, which trees and
+    embeddings mostly have anyway (their cached properties live there),
+    while the four core results are short-lived.  object.__setattr__
+    keeps the values in compact inline storage: a CheckVerdict takes 105
+    bytes that way, 248 with its own dict.
 
     The classes hashed and compared most (FinSet, Injection, FinitaryTree,
     TreeEmbedding) spell out __eq__ and __hash__ with the same meaning:
@@ -64,6 +65,13 @@ class Value:
         # not hash(3): a one-field class still compares and hashes a 1-tuple.
         cls._values = staticmethod(
             get if len(cls._compare) > 1 else (lambda x: (get(x),)))
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError("%s takes %d fields, got %d" % (
+                type(self).__qualname__, len(self._fields), len(values)))
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -91,7 +99,7 @@ class RankValue(Value):
     _fields = ("components",)
 
     def __init__(self, components: tuple[int, ...]):
-        object.__setattr__(self, "components", components)
+        super().__init__(components)
         if any(c < 0 for c in components):
             raise SiteError("rank components must be naturals: %r" % (components,))
 
@@ -171,11 +179,6 @@ class AutGroup(Value):
 
     _fields = ("obj", "elements", "generators")
     _compare = ("obj", "elements")
-
-    def __init__(self, obj, elements: tuple, generators: tuple = ()):
-        object.__setattr__(self, "obj", obj)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "generators", generators)
 
     @property
     def order(self) -> int:

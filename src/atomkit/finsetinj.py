@@ -18,7 +18,7 @@ class FinSet(Value):
     site = "finsetinj"
 
     def __init__(self, size: int):
-        object.__setattr__(self, "size", size)
+        super().__init__(size)
         if size < 0:
             raise SiteError("object size must be a natural number")
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 
-from .atoms import AtomMap, FormalAtom
+from .atoms import AtomMap, FormalAtom, class_rep
 from .core import (AutGroup, SiteError, Value, aut_group, backend, backend_of,
                    compose, decode_object, encode_object, hom_set, identity,
                    is_identity, is_int, is_iso, morphism_key, object_key,
@@ -43,9 +43,7 @@ class CheckVerdict(Value):
     _compare = ("status", "depth_used")
 
     def __init__(self, status: str, witness: dict, depth_used: int = 0):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "depth_used", depth_used)
+        super().__init__(status, witness, depth_used)
         if status not in ("pass", "fail", "unknown"):
             raise SiteError("verdict status must be pass, fail or unknown")
 
@@ -70,10 +68,7 @@ class PresheafFragment(Value):
     def __init__(self, site: str, objects: tuple,
                  elements: tuple[tuple[str, tuple[str, ...]], ...],
                  action: tuple[tuple[str, tuple[int, ...]], ...]):
-        object.__setattr__(self, "site", site)
-        object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "action", action)
+        super().__init__(site, objects, elements, action)
         els = dict(elements)
         act = dict(action)
         if len(els) != len(elements) or len(act) != len(action):
@@ -205,11 +200,6 @@ def assert_pullback_closed(frag: PresheafFragment) -> None:
 # ---------------------------------------------------------------------------
 # builders
 
-def class_rep(group: AutGroup, f):
-    """Least member of the orbit of f under precomposition by the group."""
-    return min((compose(s, f) for s in group.elements), key=sort_key)
-
-
 def quotient_classes(atom: FormalAtom, x) -> list:
     """Canonical representatives of Hom(base, x) modulo the atom group."""
     seen = set()
@@ -286,6 +276,8 @@ def _table_of(table, ok) -> bool:
 
 
 def decode_fragment(data: dict) -> PresheafFragment:
+    if not isinstance(data, dict):
+        raise SiteError("fragment payload must be a JSON object")
     for key in ("objects", "elements", "action"):
         if key not in data:
             raise SiteError("fragment payload needs a %r field" % key)
@@ -355,16 +347,9 @@ def stabilizer(frag: PresheafFragment, x, p: str) -> AutGroup:
 class AtomComponent(Value):
     _fields = ("atom", "members")
 
-    def __init__(self, atom: FormalAtom, members: tuple[tuple[str, str], ...]):
-        object.__setattr__(self, "atom", atom)
-        object.__setattr__(self, "members", members)
-
 
 class Decomposition(Value):
     _fields = ("components",)
-
-    def __init__(self, components: tuple[AtomComponent, ...]):
-        object.__setattr__(self, "components", components)
 
     def describe(self) -> list[tuple[str, str]]:
         return [c.atom.describe() for c in self.components]
@@ -565,15 +550,6 @@ class KResult(Value):
 
     _fields = ("k", "j", "unit", "group", "steps", "verdict")
 
-    def __init__(self, k, j, unit, group: AutGroup, steps: tuple,
-                 verdict: CheckVerdict):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "verdict", verdict)
-
 
 def compute_K(f, depth: int) -> KResult:
     """Close a mono f: A -> B under the pairs it equalizes.
@@ -668,7 +644,7 @@ def local_iso_check(m: AtomMap, context, depth: int) -> CheckVerdict:
         for h in quotient_classes(tgt, x):
             if sort_key(class_rep(tgt.group, h)) in seen:
                 continue
-            if not _lifts_after(m, x, h, lift_objects):
+            if not _lifts_after(m, x, h, lift_objects, eta_key):
                 return CheckVerdict("unknown", {
                     "reason": "no lift found within depth",
                     "object": object_key(x),
@@ -678,12 +654,11 @@ def local_iso_check(m: AtomMap, context, depth: int) -> CheckVerdict:
                                  "deferred_lifts": lifts}, depth)
 
 
-def _lifts_after(m: AtomMap, x, h, lift_objects) -> bool:
+def _lifts_after(m: AtomMap, x, h, lift_objects, eta_key) -> bool:
     for x2 in lift_objects:
         for w in hom_set(x, x2):
             target = sort_key(class_rep(m.target.group, compose(h, w)))
             for u in hom_set(m.source.base, x2):
-                if sort_key(class_rep(m.target.group,
-                                      compose(m.rep, u))) == target:
+                if eta_key(u) == target:
                     return True
     return False

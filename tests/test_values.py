@@ -91,6 +91,29 @@ def test_equal_values_compare_and_hash_as_their_field_tuple(cls):
     assert repr(a).startswith(cls.__name__ + "(" + compared[0] + "=")
 
 
+GENERIC = [cls for cls in VALUES if "__init__" not in vars(cls)]
+
+
+def test_only_the_plain_records_use_the_generic_constructor():
+    assert sorted(cls.__name__ for cls in GENERIC) == [
+        "AtomComponent", "AuditReport", "AutGroup", "CoeqTrace",
+        "Decomposition", "KResult"]
+
+
+@pytest.mark.parametrize("cls", GENERIC, ids=lambda c: c.__name__)
+def test_the_generic_constructor_takes_one_value_per_field(cls):
+    value = VALUES[cls][0]()
+    fields = tuple(getattr(value, name) for name in cls._fields)
+    rebuilt = cls(*fields)
+    assert rebuilt == value
+    assert all(getattr(rebuilt, name) is field
+               for name, field in zip(cls._fields, fields))
+    for wrong in (fields[:-1], fields + (None,)):
+        with pytest.raises(TypeError, match="^%s takes %d fields, got %d$"
+                           % (cls.__name__, len(fields), len(wrong))):
+            cls(*wrong)
+
+
 def test_one_field_values_hash_a_one_tuple():
     assert hash(FinSet(3)) == hash((3,)) != hash(3)
     assert hash(RankValue((4,))) == hash(((4,),))
