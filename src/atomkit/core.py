@@ -201,7 +201,9 @@ class Site(Protocol):
     """What a site backend provides (declaration only, never checked).
     Its objects and morphisms carry the tag as their site attribute; the
     marker fields identify untagged object and morphism payloads;
-    objects_up_to(bound) lists the audit pool in canonical order."""
+    objects_up_to(bound) lists the audit pool in canonical order;
+    pairs_covered must return False when no finite pool covers the
+    equalized pairs, since a checker's fail rests on it."""
 
     tag: str
     object_marker: str

@@ -1023,11 +1023,15 @@ class ITreeBackend:
     def pairs_covered(self, depth: int, seeds, tgt: FinitaryTree,
                       shared: FinitaryTree) -> bool:
         """Whether every parallel pair out of tgt agreeing on the image of
-        shared factors through a checker object: such a pair restricts
-        to a tree with twice the tails of tgt and 2e-1 explicit nodes plus
-        one divergence point per tail."""
+        shared factors through a checker object.  A mono m: shared -> tgt
+        is injective, so it routes distinct tails of shared to distinct
+        tails of tgt; it leaves a tail of tgt free exactly when tgt has
+        more tails.  Pairs m equalizes can follow a free tail's branch to
+        any depth before they split, so then no finite pool covers them.
+        Otherwise such a pair restricts to a tree with twice the tails of
+        tgt and 2e-1 explicit nodes plus one divergence point per tail."""
         tails = len(tgt.tail_ids)
-        return (2 * tails <= depth
+        return (len(shared.tail_ids) == tails and 2 * tails <= depth
                 and 2 * tgt.n_nodes - 1 + tails <= 2 * depth + 3)
 
     def regular_mono(self, m: TreeEmbedding) -> tuple[bool, dict]:

@@ -95,6 +95,7 @@ class PresheafFragment(Value):
                     if key in act:
                         listed[key] = f
         object.__setattr__(self, "_listed", listed)
+        object.__setattr__(self, "_ranked", _by_rank(objects))
         self._check_tables()
 
     def _check_tables(self) -> None:
@@ -298,40 +299,32 @@ def decode_fragment(data: dict) -> PresheafFragment:
 # ---------------------------------------------------------------------------
 # supports, stabilizers, decomposition
 
-def support(frag: PresheafFragment, x, p: str):
-    """The least listed subobject of x whose elements contain p.
-
-    Returns (y, m) with m: y -> x.  Minimality is in rank; fragments that
-    preserve pullbacks have a unique minimum, which the canonical scan
-    order picks out deterministically.
-    """
-    names = frag.elements_at(x)
-    if p not in names:
-        raise SiteError("element %r does not live at %s" % (p, object_key(x)))
-    best = None
-    for y in sorted(frag.objects, key=lambda o: (rank(o), object_key(o))):
-        for m in hom_set(y, x):
-            if p in frag.image_names(m):
-                best = (y, m)
-                break
-        if best is not None:
-            break
-    if best is None:
-        raise ClosureError("no listed subobject of %s carries %r"
-                           % (object_key(x), p))
-    return best
+def _by_rank(objects) -> tuple:
+    """The objects in ascending (rank, object key) order."""
+    return tuple(sorted(objects, key=lambda o: (rank(o), object_key(o))))
 
 
 def support_element(frag: PresheafFragment, x, p: str):
-    """support plus the unique preimage name of p along the support arrow."""
-    y, m = support(frag, x, p)
-    names = frag.elements_at(y)
-    row = frag.act_row(m)
-    tgt = frag.elements_at(x)
-    for i, j in enumerate(row):
-        if tgt[j] == p:
-            return y, m, names[i]
-    raise SiteError("support arrow lost the element")  # injectivity broke
+    """The least listed subobject of x whose elements contain p, as
+    (y, m, q) with m: y -> x sending q to p.  Minimality is in rank;
+    fragments that preserve pullbacks have a unique minimum, which the
+    scan in (rank, object key) order picks out deterministically."""
+    names = frag.elements_at(x)
+    if p not in names:
+        raise SiteError("element %r does not live at %s" % (p, object_key(x)))
+    i = names.index(p)
+    for y in frag._ranked:
+        for m in hom_set(y, x):
+            row = frag.act_row(m)
+            if i in row:
+                return y, m, frag.elements_at(y)[row.index(i)]
+    raise ClosureError("no listed subobject of %s carries %r"
+                       % (object_key(x), p))
+
+
+def support(frag: PresheafFragment, x, p: str):
+    """The (y, m) of support_element."""
+    return support_element(frag, x, p)[:2]
 
 
 def stabilizer(frag: PresheafFragment, x, p: str) -> AutGroup:
@@ -358,48 +351,46 @@ class Decomposition(Value):
 def decompose(frag: PresheafFragment) -> Decomposition:
     """Split the fragment into one formal atom per orbit of elements with
     full support, assign every element to its component, and verify the
-    component hom-class counts reconstruct every element count.
-    """
-    seats = []  # (object, orbit id, orbit names, stabilizer)
-    orbit_at = {}  # (object key, full-support name) -> seat position
-    for x in sorted(frag.objects, key=lambda o: (rank(o), object_key(o)),
-                    reverse=True):
+    component hom-class counts reconstruct every element count.  Each
+    element's support is found once, in descending rank order."""
+    atoms = []  # per orbit: its object and the stabilizer of its least name
+    orbit_at = {}  # (object key, full-support name) -> atom position
+    supported = {}  # (object key, name) -> (support key, preimage name)
+    for x in reversed(frag._ranked):
+        xk = object_key(x)
+        names = frag.elements_at(x)
         auts = aut_group(x).elements
-        done = set()
-        for p in frag.elements_at(x):
-            if p in done:
+        for i, p in enumerate(names):
+            y, m, q = support_element(frag, x, p)
+            supported[(xk, p)] = (object_key(y), q)
+            if (xk, p) in orbit_at or not is_iso(m):
                 continue
-            y, m = support(frag, x, p)
-            if not is_iso(m):
-                continue
-            orbit = sorted({frag.act(s, p) for s in auts})
-            done.update(orbit)
-            for q in orbit:
-                orbit_at[(object_key(x), q)] = len(seats)
-            seats.append((x, orbit, stabilizer(frag, x, orbit[0])))
+            rows = [frag.act_row(s) for s in auts]
+            orbit = sorted({names[row[i]] for row in rows})
+            least = names.index(orbit[0])
+            for name in orbit:
+                orbit_at[(xk, name)] = len(atoms)
+            atoms.append(FormalAtom(x, subgroup_generated(x, [
+                s for s, row in zip(auts, rows) if row[least] == least])))
 
-    members: list[list[tuple[str, str]]] = [[] for _ in seats]
+    members: list[list[tuple[str, str]]] = [[] for _ in atoms]
     for x in frag.objects:
         for p in frag.elements_at(x):
-            y, _m, p0 = support_element(frag, x, p)
-            seat = orbit_at.get((object_key(y), p0))
+            yk, q = supported[(object_key(x), p)]
+            seat = orbit_at.get((yk, q))
             if seat is None:
                 raise ClosureError("support element %r at %s belongs to no "
-                                   "component" % (p0, object_key(y)))
+                                   "component" % (q, yk))
             members[seat].append((object_key(x), p))
 
     for x in frag.objects:
-        total = 0
-        for (base, _orbit, grp), _m in zip(seats, members):
-            atom = FormalAtom(base, grp)
-            total += len(quotient_classes(atom, x))
+        total = sum(len(quotient_classes(atom, x)) for atom in atoms)
         if total != len(frag.elements_at(x)):
             raise SiteError("decomposition does not reconstruct the element "
                             "count at %s" % object_key(x))
 
-    return Decomposition(tuple(
-        AtomComponent(FormalAtom(base, grp), tuple(mem))
-        for (base, _orbit, grp), mem in zip(seats, members)))
+    return Decomposition(tuple(AtomComponent(atom, tuple(mem))
+                               for atom, mem in zip(atoms, members)))
 
 
 # ---------------------------------------------------------------------------
@@ -614,15 +605,12 @@ def local_iso_check(m: AtomMap, context, depth: int) -> CheckVerdict:
     """Bounded evidence that a map of formal quotients inverts after
     sheafification.
 
-    context is a fragment or a plain object family.  On every context
-    object the induced map of classes must be injective, and every
-    target class must lift to the source after composing with some
-    arrow found within depth.
+    context is a family of objects.  On every context object the induced
+    map of classes must be injective, and every target class must lift to
+    the source after composing with some arrow found within depth.
     """
     src, tgt = m.source, m.target
-    pool = context.objects if isinstance(context, PresheafFragment) \
-        else tuple(context)
-    objects = tuple(sorted(pool, key=lambda o: (rank(o), object_key(o))))
+    objects = _by_rank(context)
     lift_objects = checker_objects(src.site, depth,
                                    (src.base, tgt.base) + objects)
 

@@ -175,6 +175,25 @@ def test_decompose_representable():
     assert decompose(frag).describe() == [("1", "triv")]
 
 
+def test_decompose_scans_each_support_once(monkeypatch):
+    """decompose scans each element's support once: with the
+    reconstruction check that makes 102 and 162 hom_set calls on these
+    fragments, against 197 and 314 when the seat pass, the stabilizer and
+    the member pass each scanned again."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return hom_set(a, b)
+
+    monkeypatch.setattr(presheaf, "hom_set", counted)
+    for frag, most in ((unordered_pairs_fragment(5), 102),
+                       (ordered_pairs_fragment(5), 162)):
+        calls.clear()
+        decompose(frag)
+        assert len(calls) <= most
+
+
 def test_decompose_reconstruction_counts():
     for frag in (UNORDERED, ORDERED):
         parts = decompose(frag).components
@@ -459,23 +478,43 @@ def _pair_bound_misses(shared, tgt, depth):
 
 
 _TI = build(tail("i"))
-_DEEP_DIVERGENCE = pytest.mark.xfail(strict=True, reason=(
-    "ITreeBackend.pairs_covered claims too much: equalized pairs out of a "
-    "tree with a tail that m leaves free can follow one branch arbitrarily "
-    "deep before they split, so they factor through no tree of the pool"))
 
 
 @pytest.mark.parametrize("shared, tgt", [
     *((FinSet(s), FinSet(t)) for t in range(3) for s in range(t + 1)),
     (T1, T1), (T1, T3), (T3, T3), (_TI, _TI),
-    pytest.param(T1, _TI, marks=_DEEP_DIVERGENCE),
-    pytest.param(T3, _TI, marks=_DEEP_DIVERGENCE),
 ], ids=lambda x: object_key(x))
 def test_pair_bound_covers_every_equalized_pair(shared, tgt):
     be = backend(tgt.site)
     depth = next(d for d in range(4)
                  if be.pairs_covered(d, (shared, tgt), tgt, shared))
     assert _pair_bound_misses(shared, tgt, depth) == []
+
+
+@pytest.mark.parametrize("shared", [T1, T3], ids=object_key)
+def test_pair_bound_says_no_when_the_mono_leaves_a_tail_free(shared):
+    """Equalized pairs out of T(i) can follow its free tail to any depth
+    before they split, so no pool covers them: here some already miss the
+    pool at depth 2."""
+    be = backend("itree")
+    assert not any(be.pairs_covered(d, (shared, _TI), _TI, shared)
+                   for d in range(4))
+    assert _pair_bound_misses(shared, _TI, 2) != []
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_tree_checkers_are_unknown_when_the_mono_leaves_a_tail_free(depth):
+    """Among the monos of enumerate_trees(1, 5, ("i",)), the five from L,
+    (L L) and (L (L L)) into T(i) gave a selfint fail and a computek pass at
+    depths 2 and 3 while the pair bound wrongly said yes."""
+    trees = enumerate_trees(1, 5, ("i",))
+    free = [f for a in trees for b in trees for f in hom_set(a, b)
+            if len(a.tail_ids) < len(b.tail_ids)]
+    assert [object_key(f.dom) for f in free if f.cod == _TI] == [
+        "L", "(L L)", "(L L)", "(L (L L))", "(L (L L))"]
+    for f in free:
+        assert self_intersection_check(f, depth).status == "unknown"
+        assert compute_K(f, depth).verdict.status == "unknown"
 
 
 def test_fragment_codec_round_trip():
