@@ -102,19 +102,13 @@ def atom_identity(atom: FormalAtom, variant: str = "derived") -> AtomMap:
 
 def atom_hom(source: FormalAtom, target: FormalAtom,
              variant: str = "derived") -> list[AtomMap]:
-    """All maps source -> target, one canonical representative each."""
-    seen = set()
-    out = []
-    for f in hom_set(target.base, source.base):
-        if not rep_is_valid(source, target, f, variant):
-            continue
-        rep = _canonical_rep(source, target, f, variant)
-        key = sort_key(rep)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(AtomMap(source, target, rep, variant))
-    return sorted(out, key=lambda m: sort_key(m.rep))
+    """All maps source -> target, one per canonical representative, in
+    sort_key order of the representatives."""
+    reps = {_canonical_rep(source, target, f, variant)
+            for f in hom_set(target.base, source.base)
+            if rep_is_valid(source, target, f, variant)}
+    return [AtomMap(source, target, rep, variant)
+            for rep in sorted(reps, key=sort_key)]
 
 
 def atom_compose(f: AtomMap, g: AtomMap) -> AtomMap:
@@ -176,8 +170,8 @@ class CoeqTrace(Value):
     _fields = ("alpha", "beta", "steps", "result", "sigma", "quotient_rep")
 
     def quotient_map(self, variant: str = "derived") -> AtomMap:
-        src = FormalAtom(self.alpha.dom, subgroup_generated(self.alpha.dom, ()))
-        return AtomMap(src, self.result, self.quotient_rep, variant)
+        return AtomMap(make_atom(self.alpha.dom), self.result,
+                       self.quotient_rep, variant)
 
 
 def coequalize_representables(alpha, beta) -> CoeqTrace:
@@ -203,7 +197,7 @@ def coequalize_representables(alpha, beta) -> CoeqTrace:
     qi = inverse(q)
     sigma = compose(p, qi)
     base = p.dom
-    result = FormalAtom(base, subgroup_generated(base, (sigma,)))
+    result = make_atom(base, (sigma,))
     rep = identity(base)
     for square in reversed(steps):
         rep = compose(rep, square.to_left)

@@ -10,11 +10,10 @@ A bound b covers the objects the site's objects_up_to(b) lists.
 
 from __future__ import annotations
 
-from .atoms import FormalAtom, coequalize_representables
+from .atoms import FormalAtom, coequalize_representables, make_atom
 from .core import (Span, SiteError, Value, amalgamate, aut_group, backend,
                    backend_of, commutes, compose, hom_set, identity, is_iso,
-                   morphism_key, object_key, pullback, rank,
-                   subgroup_generated)
+                   morphism_key, object_key, pullback, rank)
 from .presheaf import CheckVerdict
 
 MAX_CHAIN_STEPS = 32  # steps before atom_chain gives up
@@ -408,13 +407,12 @@ def _next_atom(cur: FormalAtom):
         for i, alpha in enumerate(arrows):
             for beta in arrows[i + 1:]:
                 trace = coequalize_representables(alpha, beta)
-                if object_key(trace.result.base) != object_key(base):
+                if trace.result.base != base:
                     return trace.result
     full = aut_group(base)
     if cur.group.order < full.order:
         extra = next(s for s in full.elements if s not in cur.group)
-        return FormalAtom(base, subgroup_generated(
-            base, cur.group.elements + (extra,)))
+        return make_atom(base, cur.group.elements + (extra,))
     return None
 
 

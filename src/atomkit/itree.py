@@ -370,14 +370,6 @@ def tree_stats(tree: FinitaryTree) -> TreeStats:
     return TreeStats(branches, f_count, RankValue((branches, f_count)))
 
 
-def branch_node(tree: FinitaryTree, tail_id: int, i: int):
-    """The i-th denoted node along the branch of tail_id, 0 = the root."""
-    path = tree.paths[tail_id]
-    if i < len(path):
-        return (0, path[i])
-    return (1, tail_id, i - len(path) + 1, 0)
-
-
 def branch_index(tree: FinitaryTree, tail_id: int, addr) -> int | None:
     """Position of addr along the branch of tail_id, None when off it."""
     path = tree.paths[tail_id]
@@ -653,25 +645,25 @@ def enumerate_embeddings(X: FinitaryTree, Y: FinitaryTree) -> list[TreeEmbedding
 
 
 def preimage_fn(emb: TreeEmbedding) -> Callable:
-    """Membership test for the image: target address -> source address or None."""
+    """Membership test for the image: target address -> source address or
+    None.  A node's preimage is the child of its parent's preimage that
+    emb sends onto it; pre climbs to the nearest explicit image (the root
+    at the latest) and walks back down in a loop, not by recursion."""
     X, Y = emb.dom, emb.cod
     rev = {a: (0, i) for i, a in enumerate(emb.explicit_images)}
 
     def pre(za):
-        if za in rev:
-            return rev[za]
-        for t, s, _e in emb.tail_routes:
-            i0 = branch_index(Y, s, emb.explicit_images[t])
-            iz = branch_index(Y, s, za)
-            if iz is not None and iz > i0:
-                return (1, t, iz - i0, 0)
-            pa = parent_addr(Y, za)
-            if pa is None:
-                continue
-            ip = branch_index(Y, s, pa)
-            if ip is not None and ip >= i0 and branch_node(Y, s, ip + 1) != za:
-                return (1, t, ip + 1 - i0, 1)
-        return None
+        climbed = []
+        while za not in rev:
+            climbed.append(za)
+            za = parent_addr(Y, za)
+        xa = rev[za]
+        for za in reversed(climbed):
+            xa = next((c for c in denoted_children(X, xa) or ()
+                       if emb.image(c) == za), None)
+            if xa is None:
+                return None
+        return xa
 
     return pre
 

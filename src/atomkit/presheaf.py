@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import itertools
 
-from .atoms import AtomMap, FormalAtom, class_rep
+from .atoms import AtomMap, FormalAtom, class_rep, make_atom
 from .core import (AutGroup, SiteError, Value, aut_group, backend, backend_of,
                    compose, decode_object, encode_object, hom_set, identity,
                    is_identity, is_int, is_iso, morphism_key, object_key,
-                   pullback, rank, sort_key, subgroup_generated)
+                   pullback, rank, subgroup_generated)
 
 
 class ClosureError(SiteError):
@@ -60,7 +60,11 @@ class PresheafFragment(Value):
     elements maps each listed object key to its ordered element names;
     action maps a listed arrow key to the index map between the element
     lists of its endpoints.  Actions must be injective and functorial on
-    every composable listed pair whose composite is listed.
+    every composable listed pair whose composite is listed.  The keys
+    are the payload form only: the constructor reads each once, and the
+    tables inside key on the objects and arrows themselves, _els object
+    -> names and _rows listed arrow -> row, in listed order (hom-set
+    order over the pairs of listed objects).
     """
 
     _fields = ("site", "objects", "elements", "action")
@@ -84,18 +88,18 @@ class PresheafFragment(Value):
         for key, names in els.items():
             if len(set(names)) != len(names):
                 raise SiteError("duplicate element name at %s" % key)
-        object.__setattr__(self, "_objs", by_key)
-        object.__setattr__(self, "_els", els)
-        object.__setattr__(self, "_act", act)
-        listed = {}  # arrow key -> arrow, for every listed arrow
+        rows = {}  # listed arrow -> its row, in listed order
         for a in objects:
             for b in objects:
                 for f in hom_set(a, b):
-                    key = morphism_key(f)
-                    if key in act:
-                        listed[key] = f
-        object.__setattr__(self, "_listed", listed)
-        object.__setattr__(self, "_ranked", _by_rank(objects))
+                    row = act.pop(morphism_key(f), None)
+                    if row is not None:
+                        rows[f] = row
+        if act:
+            raise SiteError("fragment action for unknown arrow %s" % min(act))
+        self.__dict__.update(
+            _objs=by_key, _rows=rows, _ranked=_by_rank(objects),
+            _els={obj: els[key] for key, obj in by_key.items()})
         self._check_tables()
 
     def _check_tables(self) -> None:
@@ -103,36 +107,30 @@ class PresheafFragment(Value):
         functoriality on the composable listed pairs only (f, g with
         cod f = dom g), in listed order: f in turn, then each g that
         starts where f ends.  A composite is looked up by value, which
-        finds exactly the listed arrows, since morphism keys are one-to-one
-        on values.  Raises a site error naming the first violation."""
-        listed = self._listed
-        unknown = set(self._act) - set(listed)
-        if unknown:
-            raise SiteError("fragment action for unknown arrow %s"
-                            % sorted(unknown)[0])
-        for key, f in listed.items():
-            row = self._act[key]
-            na, nb = len(self.elements_at(f.dom)), len(self.elements_at(f.cod))
+        finds exactly the listed arrows.  Raises a site error naming the
+        first violation."""
+        rows, els = self._rows, self._els
+        for f, row in rows.items():
+            na, nb = len(els[f.dom]), len(els[f.cod])
             if len(row) != na or any(not 0 <= i < nb for i in row):
-                raise SiteError("action table for %s has the wrong shape" % key)
+                raise SiteError("action table for %s has the wrong shape"
+                                % morphism_key(f))
             if len(set(row)) != len(row):
-                raise SiteError("action table for %s is not injective" % key)
+                raise SiteError("action table for %s is not injective"
+                                % morphism_key(f))
             if is_identity(f) and row != tuple(range(na)):
                 raise SiteError("identity arrow must act as the identity")
-        key_of = {f: key for key, f in listed.items()}
         starting = {}  # object -> the listed arrows out of it, in order
-        for gk, g in listed.items():
-            starting.setdefault(g.dom, []).append((gk, g))
-        for fk, f in listed.items():
-            row_f = self._act[fk]
-            for gk, g in starting.get(f.cod, ()):
-                ck = key_of.get(compose(f, g))
-                if ck is None:
-                    continue
-                row_g = self._act[gk]
-                if self._act[ck] != tuple(map(row_g.__getitem__, row_f)):
+        for g, row_g in rows.items():
+            starting.setdefault(g.dom, []).append((g, row_g))
+        for f, row_f in rows.items():
+            for g, row_g in starting.get(f.cod, ()):
+                row_fg = rows.get(compose(f, g))
+                if row_fg is not None and \
+                        row_fg != tuple(map(row_g.__getitem__, row_f)):
                     raise SiteError("fragment action is not functorial on "
-                                    "%s then %s" % (fk, gk))
+                                    "%s then %s" % (morphism_key(f),
+                                                    morphism_key(g)))
 
     # -- access --------------------------------------------------------------
 
@@ -142,16 +140,18 @@ class PresheafFragment(Value):
         return self._objs[key]
 
     def elements_at(self, obj) -> tuple[str, ...]:
-        key = obj if isinstance(obj, str) else object_key(obj)
-        if key not in self._els:
-            raise ClosureError("fragment does not list object %s" % key)
-        return self._els[key]
+        names = self._els.get(obj)
+        if names is None:
+            raise ClosureError("fragment does not list object %s"
+                               % object_key(obj))
+        return names
 
     def act_row(self, f) -> tuple[int, ...]:
-        key = morphism_key(f)
-        if key not in self._act:
-            raise ClosureError("fragment does not list the arrow %s" % key)
-        return self._act[key]
+        row = self._rows.get(f)
+        if row is None:
+            raise ClosureError("fragment does not list the arrow %s"
+                               % morphism_key(f))
+        return row
 
     def act(self, f, name: str) -> str:
         src = self.elements_at(f.dom)
@@ -178,17 +178,16 @@ def assert_pullback_closed(frag: PresheafFragment) -> None:
     when an intersection of element images is strictly larger than the
     image from the apex.
     """
-    listed = frag._listed.values()
     ending = {}  # object -> the listed arrows into it, in order
-    for g in listed:
+    for g in frag._rows:
         ending.setdefault(g.cod, []).append(g)
-    for f in listed:
+    for f in frag._rows:
         for g in ending[f.cod]:
             square = pullback(f, g)
-            apex_key = object_key(square.apex)
-            if apex_key not in frag._els:
+            if square.apex not in frag._els:
                 raise ClosureError("fragment misses the pullback apex %s of "
-                                   "%s and %s" % (apex_key, morphism_key(f),
+                                   "%s and %s" % (object_key(square.apex),
+                                                  morphism_key(f),
                                                   morphism_key(g)))
             through = set(frag.image_names(compose(square.to_left, f)))
             meet = set(frag.image_names(f)) & set(frag.image_names(g))
@@ -202,16 +201,10 @@ def assert_pullback_closed(frag: PresheafFragment) -> None:
 # builders
 
 def quotient_classes(atom: FormalAtom, x) -> list:
-    """Canonical representatives of Hom(base, x) modulo the atom group."""
-    seen = set()
-    out = []
-    for f in hom_set(atom.base, x):
-        rep = class_rep(atom.group, f)
-        key = sort_key(rep)
-        if key not in seen:
-            seen.add(key)
-            out.append(rep)
-    return out
+    """Canonical representatives of Hom(base, x) modulo the atom group,
+    each once, in the hom-set order of the first arrow of its class."""
+    return list(dict.fromkeys(class_rep(atom.group, f)
+                              for f in hom_set(atom.base, x)))
 
 
 def _tabulate(site: str, objects, values, name, act) -> PresheafFragment:
@@ -219,16 +212,15 @@ def _tabulate(site: str, objects, values, name, act) -> PresheafFragment:
     object x, where an arrow f: a -> b sends e to act(f, e), a member of
     values(b)."""
     objects = tuple(objects)
-    vals = {object_key(x): values(x) for x in objects}
+    vals = {x: values(x) for x in objects}
     action = {}
-    for a in objects:
-        source = vals[object_key(a)]
-        for b in objects:
-            index = {e: i for i, e in enumerate(vals[object_key(b)])}
+    for a, source in vals.items():
+        for b, target in vals.items():
+            index = {e: i for i, e in enumerate(target)}
             for f in hom_set(a, b):
                 action[morphism_key(f)] = tuple(index[act(f, e)]
                                                 for e in source)
-    elements = {k: tuple(name(e) for e in v) for k, v in vals.items()}
+    elements = {object_key(x): tuple(map(name, v)) for x, v in vals.items()}
     return fragment_from_tables(site, objects, elements, action)
 
 
@@ -354,34 +346,34 @@ def decompose(frag: PresheafFragment) -> Decomposition:
     component hom-class counts reconstruct every element count.  Each
     element's support is found once, in descending rank order."""
     atoms = []  # per orbit: its object and the stabilizer of its least name
-    orbit_at = {}  # (object key, full-support name) -> atom position
-    supported = {}  # (object key, name) -> (support key, preimage name)
+    orbit_at = {}  # (object, full-support name) -> atom position
+    supported = {}  # (object, name) -> (support object, preimage name)
     for x in reversed(frag._ranked):
-        xk = object_key(x)
         names = frag.elements_at(x)
         auts = aut_group(x).elements
         for i, p in enumerate(names):
             y, m, q = support_element(frag, x, p)
-            supported[(xk, p)] = (object_key(y), q)
-            if (xk, p) in orbit_at or not is_iso(m):
+            supported[(x, p)] = (y, q)
+            if (x, p) in orbit_at or not is_iso(m):
                 continue
             rows = [frag.act_row(s) for s in auts]
             orbit = sorted({names[row[i]] for row in rows})
             least = names.index(orbit[0])
             for name in orbit:
-                orbit_at[(xk, name)] = len(atoms)
-            atoms.append(FormalAtom(x, subgroup_generated(x, [
-                s for s, row in zip(auts, rows) if row[least] == least])))
+                orbit_at[(x, name)] = len(atoms)
+            atoms.append(make_atom(x, [s for s, row in zip(auts, rows)
+                                       if row[least] == least]))
 
     members: list[list[tuple[str, str]]] = [[] for _ in atoms]
     for x in frag.objects:
+        xk = object_key(x)
         for p in frag.elements_at(x):
-            yk, q = supported[(object_key(x), p)]
-            seat = orbit_at.get((yk, q))
+            y, q = supported[(x, p)]
+            seat = orbit_at.get((y, q))
             if seat is None:
                 raise ClosureError("support element %r at %s belongs to no "
-                                   "component" % (q, yk))
-            members[seat].append((object_key(x), p))
+                                   "component" % (q, object_key(y)))
+            members[seat].append((xk, p))
 
     for x in frag.objects:
         total = sum(len(quotient_classes(atom, x)) for atom in atoms)
@@ -447,19 +439,17 @@ def sheaf_check_quotient(atom: FormalAtom, q, depth: int) -> CheckVerdict:
     group = atom.group.elements
     s_classes = quotient_classes(atom, s_obj)
     t_classes = quotient_classes(atom, t_obj)
-    t_key = {sort_key(r): r for r in t_classes}
 
-    descended = {}
+    descended = {}  # class over T -> the class over S restricting to it
     for s in s_classes:
         image = class_rep(atom.group, compose(s, q))
-        key = sort_key(image)
-        if key in descended:
+        if image in descended:
             return CheckVerdict("fail", {
                 "reason": "restriction not injective",
-                "class_a": morphism_key(descended[key]),
+                "class_a": morphism_key(descended[image]),
                 "class_b": morphism_key(s),
                 "cover": morphism_key(q)}, depth)
-        descended[key] = s
+        descended[image] = s
 
     seeds = (atom.base, s_obj, t_obj)
     objects = checker_objects(atom.site, depth, seeds)
@@ -476,7 +466,7 @@ def sheaf_check_quotient(atom: FormalAtom, q, depth: int) -> CheckVerdict:
         return False
 
     for f in t_classes:
-        if sort_key(f) in descended:
+        if f in descended:
             continue
         if separated(f):
             continue
@@ -614,25 +604,26 @@ def local_iso_check(m: AtomMap, context, depth: int) -> CheckVerdict:
     lift_objects = checker_objects(src.site, depth,
                                    (src.base, tgt.base) + objects)
 
-    def eta_key(u):
-        return sort_key(class_rep(tgt.group, compose(m.rep, u)))
+    def eta(u):
+        """The target class of the source class of u."""
+        return class_rep(tgt.group, compose(m.rep, u))
 
     lifts = 0
     for x in objects:
-        seen = {}
+        seen = {}  # target class -> the source class sent onto it
         for u in quotient_classes(src, x):
-            key = eta_key(u)
-            if key in seen:
+            image = eta(u)
+            if image in seen:
                 return CheckVerdict("fail", {
                     "reason": "classes collapse",
                     "object": object_key(x),
-                    "class_a": morphism_key(seen[key]),
+                    "class_a": morphism_key(seen[image]),
                     "class_b": morphism_key(u)}, depth)
-            seen[key] = u
+            seen[image] = u
         for h in quotient_classes(tgt, x):
-            if sort_key(class_rep(tgt.group, h)) in seen:
+            if h in seen:  # a class representative is its own class_rep
                 continue
-            if not _lifts_after(m, x, h, lift_objects, eta_key):
+            if not _lifts_after(m, x, h, lift_objects, eta):
                 return CheckVerdict("unknown", {
                     "reason": "no lift found within depth",
                     "object": object_key(x),
@@ -642,11 +633,11 @@ def local_iso_check(m: AtomMap, context, depth: int) -> CheckVerdict:
                                  "deferred_lifts": lifts}, depth)
 
 
-def _lifts_after(m: AtomMap, x, h, lift_objects, eta_key) -> bool:
+def _lifts_after(m: AtomMap, x, h, lift_objects, eta) -> bool:
     for x2 in lift_objects:
         for w in hom_set(x, x2):
-            target = sort_key(class_rep(m.target.group, compose(h, w)))
+            target = class_rep(m.target.group, compose(h, w))
             for u in hom_set(m.source.base, x2):
-                if eta_key(u) == target:
+                if eta(u) == target:
                     return True
     return False

@@ -45,6 +45,9 @@ from atomkit.audit import c2prime_chain, verify_chain
 from atomkit.core import backend_of
 from atomkit.finsetinj import FinSetInjBackend
 
+T1 = build(leaf())
+T3 = build(node(leaf(), leaf()))
+
 
 def test_audit_objects_counts():
     assert [o.size for o in backend("finsetinj").objects_up_to(3)] \
@@ -61,6 +64,28 @@ def test_c3_chain_steps_between_isomorphic_trees_are_repeats():
     (row,) = report.to_json()["verdicts"]
     assert row["status"] == "pass"
     assert row["witness"]["steps"] == ["repeat"]
+
+
+def test_c3_chain_step_onto_a_proper_subtree_drops_the_rank():
+    report = audit_c3("itree", chains=[[T3, T1]])
+    (row,) = report.to_json()["verdicts"]
+    assert row["status"] == "pass"
+    assert row["witness"]["steps"] == ["drop"]
+
+
+def test_c3_chain_step_up_to_a_larger_tree_is_not_a_subobject():
+    report = audit_c3("itree", chains=[[T1, T3]])
+    (row,) = report.to_json()["verdicts"]
+    assert row["status"] == "fail"
+    assert row["witness"]["steps"] == ["not a subobject"]
+
+
+def test_c3_chain_fails_a_proper_step_whose_rank_does_not_drop(monkeypatch):
+    monkeypatch.setattr(audit, "rank", lambda obj: rank(T1))
+    report = audit_c3("itree", chains=[[T3, T1]])
+    (row,) = report.to_json()["verdicts"]
+    assert row["status"] == "fail"
+    assert row["witness"]["steps"] == ["rank does not drop"]
 
 
 def test_finsetinj_audits_all_pass():

@@ -6,7 +6,9 @@ seed payload), delete a key, or bump an integer by one.  A decoder must
 return or raise SiteError or KeyError; the CLI must exit 0, 1 or 2,
 never print a traceback, and print nothing to stdout on exit 2.  The
 commands with several inputs get one mutated input among valid ones
-that fit together, and every combination of valid seed payloads.
+that fit together, and every combination of valid seed payloads; the
+other commands with one input get a mutated payload and, where they
+take them, drawn object-key and element words.
 """
 
 import contextlib
@@ -31,8 +33,9 @@ TI = build(node(tail("i"), leaf()))
 SWAP = make_injection(2, 2, (1, 0))
 POINT = make_injection(1, 2, (0,))
 OTHER_POINT = make_injection(1, 2, (1,))
-(ROOT,) = enumerate_embeddings(build(leaf()), T3)
-(INTO_TAIL,) = enumerate_embeddings(build(leaf()), build(tail("i")))
+T1 = build(leaf())
+(ROOT,) = enumerate_embeddings(T1, T3)
+(INTO_TAIL,) = enumerate_embeddings(T1, build(tail("i")))
 (T3_SWAP,) = (s for s in aut_group(T3).elements if s != identity(T3))
 
 SEEDS = {
@@ -47,6 +50,17 @@ SEEDS = {
                   "target": encode_atom(make_atom(FinSet(1))),
                   "rep": encode_morphism(POINT)}],
 }
+# atoms compose takes one payload holding two composable atom maps.
+PAIRS = [{"f": SEEDS["atom map"][0],
+          "g": {"source": encode_atom(make_atom(FinSet(1))),
+                "target": encode_atom(make_atom(FinSet(1))),
+                "rep": encode_morphism(identity(FinSet(1)))}},
+         {"f": {"source": encode_atom(make_atom(T3)),
+                "target": encode_atom(make_atom(T1)),
+                "rep": encode_morphism(ROOT)},
+          "g": {"source": encode_atom(make_atom(T1)),
+                "target": encode_atom(make_atom(T1)),
+                "rep": encode_morphism(identity(T1))}}]
 DECODERS = (decode_object, decode_morphism, decode_atom,
             lambda data, site: decode_fragment(data),
             lambda data, site: cli._decode_atom_map(data, site, "derived"))
@@ -97,6 +111,25 @@ MULTI = [
 ]
 
 
+# The commands with one input that COMMANDS leaves out: (words and
+# flags, input kind, word lists that follow the input).  The object and
+# element words of support and stabilizer name parts of the fragment seed
+# and parts that it lacks.
+OBJECT_WORDS = ("0", "1", "2", "3", "x")
+ELEMENT_WORDS = ("{0}", "{1}", "{0,1}", "{2}", "x", "")
+SINGLE = [
+    (("tree", "validate"), "object", ()),
+    (("tree", "regmono"), "morphism", ()),
+    (("tree", "regmono") + FINSET, "morphism", ()),
+    (("atoms", "quotient"), "atom", ()),
+    (("atoms", "compose"), "atom map pair", ()),
+    (("presheaf", "computek", "--depth", "1"), "morphism", ()),
+    (("presheaf", "support"), "fragment", (OBJECT_WORDS, ELEMENT_WORDS)),
+    (("presheaf", "stabilizer"), "fragment", (OBJECT_WORDS, ELEMENT_WORDS)),
+]
+SINGLE_SEEDS = {**SEEDS, "atom map pair": PAIRS}
+
+
 def _parts(value, path=()):
     """Every (path, value) inside a JSON value, the root included."""
     yield path, value
@@ -137,6 +170,13 @@ def one_input_mutated(draw):
     return words, payloads
 
 
+@st.composite
+def single_input_mutated(draw):
+    words, kind, after = draw(st.sampled_from(SINGLE))
+    payload = _mutate(draw, draw(st.sampled_from(SINGLE_SEEDS[kind])))
+    return words, [payload], [draw(st.sampled_from(w)) for w in after]
+
+
 def _mutate(draw, payload):
     """One to three mutations of a copy of payload."""
     payload = copy.deepcopy(payload)
@@ -174,9 +214,10 @@ def test_decoders_return_or_raise_a_usage_error(case, site):
             pass
 
 
-def _run_cli(tmp_path, words, payloads):
+def _run_cli(tmp_path, words, payloads, after=()):
     """Run words with one file per payload placed after the command words
-    and before the flags; check the exit contract."""
+    and before the flags, then the words after; check the exit
+    contract."""
     n = next((i for i, w in enumerate(words) if w.startswith("--")),
              len(words))
     paths = []
@@ -186,8 +227,9 @@ def _run_cli(tmp_path, words, payloads):
         paths.append(str(path))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(words[:n]) + paths + list(words[n:]))
-    assert code in (0, 1, 2), (words, payloads, err.getvalue())
+        code = cli.main(list(words[:n]) + paths + list(after)
+                        + list(words[n:]))
+    assert code in (0, 1, 2), (words, payloads, after, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == ""
@@ -221,3 +263,19 @@ def test_multi_input_commands_on_every_combination_of_seeds(tmp_path):
         done.add(words[:2])
         for payloads in itertools.product(*(SEEDS[k] for k in kinds)):
             _run_cli(tmp_path, words, payloads)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(single_input_mutated())
+def test_single_input_commands_with_a_mutated_input(tmp_path, case):
+    _run_cli(tmp_path, *case)
+
+
+def test_single_input_commands_on_every_seed(tmp_path):
+    """Each command on every valid payload of its kind and every choice
+    of the words that follow it."""
+    for words, kind, after in SINGLE:
+        for payload in SINGLE_SEEDS[kind]:
+            for chosen in itertools.product(*after):
+                _run_cli(tmp_path, words, [payload], chosen)

@@ -40,6 +40,7 @@ from atomkit.itree import (
     check_embedding,
     denoted_children,
     equalizer_of,
+    preimage_fn,
     regular_mono_witness,
     same_subtree,
     tree_amalgamate,
@@ -477,6 +478,31 @@ def test_regular_mono_witness_on_mirrored_encodings():
         _doubled, e1, e2 = regular_mono_witness(m)
         _eq, incl = equalizer_of(e1, e2)
         assert same_subtree(incl, m)
+
+
+def _addresses(tree, depth):
+    """The explicit nodes and the comb nodes down to depth of a tree."""
+    return [(0, i) for i in range(tree.n_nodes)] + [
+        (1, t, k, side) for t in tree.tail_ids
+        for k in range(1, depth + 1) for side in (0, 1)]
+
+
+def test_preimage_agrees_with_a_scan_of_the_source():
+    """pre(za) is the source address the embedding sends onto za, None
+    off the image: every target address down to comb depth 3 against a
+    scan of the source addresses.  A source comb node at depth k lands at
+    target comb depth at least k minus the target's explicit depth, so
+    the scan reaches that far below depth 3."""
+    pool = backend("itree").objects_up_to(2)
+    hits = 0
+    for x, y in itertools.product(pool, repeat=2):
+        for emb in enumerate_embeddings(x, y):
+            scan = {emb.image(a): a for a in _addresses(x, 3 + y.n_nodes)}
+            pre = preimage_fn(emb)
+            for za in _addresses(y, 3):
+                assert pre(za) == scan.get(za), (emb, za)
+                hits += za in scan
+    assert hits
 
 
 def test_factors_agrees_with_a_scan_of_the_embeddings():

@@ -194,6 +194,23 @@ def test_decompose_scans_each_support_once(monkeypatch):
         assert len(calls) <= most
 
 
+def test_decompose_formats_no_morphism_key(monkeypatch):
+    """Inside the library the fragment tables key on the arrows
+    themselves, so decompose formats no key string (733 on these two
+    fragments when the action table was keyed by morphism_key)."""
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return morphism_key(f)
+
+    frags = (unordered_pairs_fragment(5), ordered_pairs_fragment(5))
+    monkeypatch.setattr(presheaf, "morphism_key", counted)
+    for frag in frags:
+        decompose(frag)
+    assert calls == []
+
+
 def test_decompose_reconstruction_counts():
     for frag in (UNORDERED, ORDERED):
         parts = decompose(frag).components
