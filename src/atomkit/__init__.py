@@ -19,9 +19,10 @@ from .audit import (AuditReport, atom_chain, audit_c1, audit_c2prime,
 from .core import (AutGroup, Cocone, Cospan, PullbackSquare, RankValue,
                    SiteError, Span, amalgamate, aut_group, backend,
                    canonical_json, compose, decode_morphism, decode_object,
-                   encode_morphism, encode_object, group_name, hom_set,
-                   identity, inverse, is_identity, is_iso, morphism_key,
-                   object_key, pullback, rank, sort_key, subgroup_generated)
+                   encode_morphism, encode_object, factor, group_name,
+                   hom_set, identity, inverse, is_identity, is_iso,
+                   morphism_key, object_key, pullback, rank, sort_key,
+                   subgroup_generated)
 from .finsetinj import FinSet, Injection, make_injection
 from .itree import (FinitaryTree, TreeEmbedding, build, enumerate_embeddings,
                     enumerate_trees, identity_embedding, leaf, make_embedding,

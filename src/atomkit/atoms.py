@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .core import (AutGroup, PullbackSquare, SiteError, Value, compose,
                    decode_morphism, decode_object, encode_morphism,
-                   encode_object, group_name, hom_set, identity, inverse,
+                   encode_object, factor, group_name, hom_set, identity,
                    is_iso, object_key, pullback, sort_key, subgroup_generated)
 
 VARIANTS = ("derived", "paper")
@@ -54,9 +54,8 @@ def rep_is_valid(source: FormalAtom, target: FormalAtom, rep,
     if variant not in VARIANTS:
         raise SiteError("unknown atom map variant %r" % variant)
     gs, hs = source.group.elements, target.group.elements
-    if variant == "derived":
-        return all(any(compose(rep, s) == compose(h, rep) for h in hs)
-                   for s in gs)
+    if variant == "derived":  # rep is mono: one h at most has h;rep == rep;s
+        return all(factor(compose(rep, s), rep) in target.group for s in gs)
     return all(any(compose(h, rep) == compose(rep, s) for s in gs)
                for h in hs)
 
@@ -194,8 +193,7 @@ def coequalize_representables(alpha, beta) -> CoeqTrace:
         square = pullback(p, q)
         steps.append(square)
         p, q = square.to_left, square.to_right
-    qi = inverse(q)
-    sigma = compose(p, qi)
+    sigma = factor(p, q)  # p then the inverse of q
     base = p.dom
     result = make_atom(base, (sigma,))
     rep = identity(base)

@@ -19,6 +19,13 @@ from .presheaf import CheckVerdict
 MAX_CHAIN_STEPS = 32  # steps before atom_chain gives up
 
 
+def _pool(site: str, bound: int) -> list:
+    """The objects an audit at this bound covers; refuses a negative one."""
+    if bound < 0:
+        raise SiteError("bound must be a natural number, got %d" % bound)
+    return backend(site).objects_up_to(bound)
+
+
 class AuditReport(Value):
     """The (instance key, verdict) rows of one audit, in loop order.
 
@@ -91,7 +98,7 @@ def audit_c1(site: str, bound: int) -> AuditReport:
     A span row passes exactly when amalgamate returns: amalgamate checks
     that its cocone commutes and raises SiteError when it does not.
     """
-    objects = backend(site).objects_up_to(bound)
+    objects = _pool(site, bound)
     homs = {(a, b): [(f, morphism_key(f)) for f in hom_set(a, b)]
             for a in objects for b in objects}  # each arrow with its key
     rows = []
@@ -234,7 +241,7 @@ def audit_c2prime(site: str, bound: int) -> AuditReport:
     needs the zigzag, and c2prime_chain then checks the agreement on its
     own meet.
     """
-    objects = backend(site).objects_up_to(bound)
+    objects = _pool(site, bound)
     memo = _Memo()
     rows = []
     verdicts: dict = {}  # (good, length, target) -> its one verdict
@@ -331,7 +338,7 @@ def audit_c3(site: str, bound: int = 0, chains=None) -> AuditReport:
                 "pass" if good else "fail",
                 {"length": len(chain), "steps": steps}, bound)))
         return AuditReport("C3", bound, tuple(rows))
-    objects = backend(site).objects_up_to(bound)
+    objects = _pool(site, bound)
     ranks = [rank(x) for x in objects]
     for s, rs in zip(objects, ranks):
         for t, rt in zip(objects, ranks):
@@ -350,7 +357,7 @@ def audit_c3(site: str, bound: int = 0, chains=None) -> AuditReport:
 
 def audit_c4(site: str, bound: int) -> AuditReport:
     rows = []
-    for x in backend(site).objects_up_to(bound):
+    for x in _pool(site, bound):
         grp = aut_group(x)
         closed = all(compose(s, t) in grp
                      for s in grp.elements for t in grp.elements)

@@ -203,7 +203,8 @@ class Site(Protocol):
     marker fields identify untagged object and morphism payloads;
     objects_up_to(bound) lists the audit pool in canonical order;
     pairs_covered must return False when no finite pool covers the
-    equalized pairs, since a checker's fail rests on it."""
+    equalized pairs, since a checker's fail rests on it; factor(h, m)
+    returns the one w with w;m == h, or None (every arrow is mono)."""
 
     tag: str
     object_marker: str
@@ -211,6 +212,7 @@ class Site(Protocol):
 
     def identity(self, obj): ...
     def hom_set(self, a, b) -> list: ...
+    def factor(self, h, m): ...
     def rank(self, obj) -> RankValue: ...
     def pullback(self, f, g) -> PullbackSquare: ...
     def amalgamate(self, span: Span) -> Cocone: ...
@@ -298,21 +300,23 @@ def is_identity(f) -> bool:
     return f.dom == f.cod and f == identity(f.dom)
 
 
+def factor(h, m):
+    """The w with w;m == h (unique, as m is mono), or None."""
+    if h.cod != m.cod:
+        raise SiteError("factor: the arrows have different codomains")
+    return backend_of(m).factor(h, m)
+
+
 def is_iso(f) -> bool:
     """True when f has a two-sided inverse."""
     return inverse(f) is not None
 
 
 def inverse(f):
-    """The inverse morphism when f is invertible, else None."""
-    if f.dom == f.cod and is_identity(f):
-        return f
-    candidates = hom_set(f.cod, f.dom)
-    if candidates:  # the identities, once per call
-        one, other = identity(f.dom), identity(f.cod)
-    for g in candidates:
-        if compose(f, g) == one and compose(g, f) == other:
-            return g
+    """The w with w;f == id(cod f) and f;w == id(dom f), else None."""
+    w = factor(identity(f.cod), f)
+    if w is not None and compose(f, w) == identity(f.dom):
+        return w
     return None
 
 

@@ -98,6 +98,13 @@ class FinSetInjBackend:
         return [Injection(a, b, p)
                 for p in itertools.permutations(range(b.size), a.size)]
 
+    def factor(self, h: Injection, m: Injection) -> Injection | None:
+        """w(i) is the position of h(i) in m.map, if every h(i) is in it."""
+        try:
+            return Injection(h.dom, m.dom, tuple(map(m.map.index, h.map)))
+        except ValueError:
+            return None
+
     def rank(self, obj: FinSet) -> RankValue:
         return RankValue((obj.size,))
 

@@ -36,7 +36,8 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .core import (Cocone, PullbackSquare, RankValue, SiteError, Span, Value,
-                   commutes, compose, is_int, object_key, register_backend)
+                   commutes, compose, factor, is_int, object_key,
+                   register_backend)
 
 INTERNAL, LEAF, TAIL = "internal", "leaf", "tail"
 AUDIT_LABELS = ("i", "j")
@@ -869,22 +870,7 @@ def same_subtree(m1: TreeEmbedding, m2: TreeEmbedding) -> bool:
     m1 = w;w';m1, so w;w' = id as m1 is mono, and likewise w';w = id:
     w is an iso, and m1 = w;m2 has the image of m2.  Conversely, equal
     images of monos give each a factorisation through the other."""
-    return _factors(m1, m2) and _factors(m2, m1)
-
-
-def _factors(h: TreeEmbedding, m: TreeEmbedding) -> bool:
-    """Whether h = w;m for some embedding w, read off the preimage of m
-    without a search: whether the image of h lies in that of m and m
-    routes a tail to every tail h routes to.  Then w(x) = pre(h(x)) on
-    explicit nodes, and w routes a tail t to the tail r that m routes to
-    s = h.route(t), so w;m == h by construction.  w is an embedding: m
-    sends the children of an internal node onto those of its image, no
-    child of the image of a denoted leaf lies in the image of m, and m
-    sends the branch of r, a path from the root, onto that of s, so
-    w(t) lies on it."""
-    pre, routed = preimage_fn(m), {s for _r, s, _e in m.tail_routes}
-    return (all(pre(a) is not None for a in h.explicit_images)
-            and all(s in routed for _t, s, _e in h.tail_routes))
+    return factor(m1, m2) is not None and factor(m2, m1) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -988,6 +974,22 @@ class ITreeBackend:
 
     def hom_set(self, a: FinitaryTree, b: FinitaryTree) -> list[TreeEmbedding]:
         return enumerate_embeddings(a, b)
+
+    def factor(self, h: TreeEmbedding, m: TreeEmbedding):
+        """w, read off the preimage of m: it exists exactly when the
+        image of h lies in that of m and m routes a tail r onto every
+        tail s that h routes a tail t to; w(x) = pre(h(x)) and w routes t
+        to r.  w is an embedding: m sends the children of an internal
+        node onto those of its image, no child of the image of a denoted
+        leaf lies in the image of m, and m sends the branch of r, a path
+        from the root, onto that of s, so w(t) lies on it."""
+        pre = preimage_fn(m)
+        images = [pre(a) for a in h.explicit_images]
+        onto = {s: r for r, s, _e in m.tail_routes}
+        targets = {t: onto.get(s) for t, s, _e in h.tail_routes}
+        if None in images or None in targets.values():
+            return None
+        return make_embedding(h.dom, m.dom, images, targets)
 
     def rank(self, obj: FinitaryTree) -> RankValue:
         return tree_stats(obj).rank

@@ -22,9 +22,9 @@ import itertools
 
 from .atoms import AtomMap, FormalAtom, class_rep, make_atom
 from .core import (AutGroup, SiteError, Value, aut_group, backend, backend_of,
-                   compose, decode_object, encode_object, hom_set, identity,
-                   is_identity, is_int, is_iso, morphism_key, object_key,
-                   pullback, rank, subgroup_generated)
+                   compose, decode_object, encode_object, factor, hom_set,
+                   identity, is_identity, is_int, is_iso, morphism_key,
+                   object_key, pullback, rank, subgroup_generated)
 
 
 class ClosureError(SiteError):
@@ -390,7 +390,9 @@ def decompose(frag: PresheafFragment) -> Decomposition:
 
 def checker_objects(site: str, depth: int, seeds) -> list:
     """Deterministic test objects for a checker run, as the site bounds
-    them."""
+    them; every checker starts here, so a negative depth never passes."""
+    if depth < 0:
+        raise SiteError("depth must be a natural number, got %d" % depth)
     return backend(site).checker_objects(depth, tuple(seeds))
 
 
@@ -436,6 +438,8 @@ def sheaf_check_quotient(atom: FormalAtom, q, depth: int) -> CheckVerdict:
     if atom.site != type(q.dom).site:
         raise SiteError("the cover lives on a different site than the atom")
     s_obj, t_obj = q.dom, q.cod
+    seeds = (atom.base, s_obj, t_obj)
+    objects = checker_objects(atom.site, depth, seeds)
     group = atom.group.elements
     s_classes = quotient_classes(atom, s_obj)
     t_classes = quotient_classes(atom, t_obj)
@@ -451,8 +455,6 @@ def sheaf_check_quotient(atom: FormalAtom, q, depth: int) -> CheckVerdict:
                 "cover": morphism_key(q)}, depth)
         descended[image] = s
 
-    seeds = (atom.base, s_obj, t_obj)
-    objects = checker_objects(atom.site, depth, seeds)
     covered = backend(atom.site).pairs_covered(depth, seeds, t_obj, s_obj)
     pairs = _replayed(_equalized_pairs(q, objects))
 
@@ -486,8 +488,9 @@ def self_intersection_check(f, depth: int) -> CheckVerdict:
 
     An arrow u: y -> cod(f) escapes the condition when some pair
     (alpha, beta) with f;alpha = f;beta admits no v with u;beta =
-    v;alpha.  fail reports the first u that neither factors nor escapes,
-    when the pair bound is exhaustive; unknown otherwise.
+    v;alpha: when u;beta does not factor through alpha.  fail reports
+    the first u that neither factors through f nor escapes, when the pair
+    bound is exhaustive; unknown otherwise.
     """
     a_obj, b_obj = f.dom, f.cod
     objects = checker_objects(f.site, depth, (a_obj, b_obj))
@@ -495,22 +498,15 @@ def self_intersection_check(f, depth: int) -> CheckVerdict:
 
     pairs = _replayed(_equalized_pairs(f, objects))
 
-    def excludes(u, hom_y_b) -> bool:
-        for alpha, betas in pairs():
-            ua = {compose(v, alpha) for v in hom_y_b}
-            if any(compose(u, beta) not in ua for beta in betas):
-                return True
-        return False
+    def excludes(u) -> bool:
+        return any(factor(compose(u, beta), alpha) is None
+                   for alpha, betas in pairs() for beta in betas)
 
     checked = 0
     for y in objects:
-        hom_y_b = hom_set(y, b_obj)
-        hom_y_a = hom_set(y, a_obj)
-        for u in hom_y_b:
+        for u in hom_set(y, b_obj):
             checked += 1
-            if any(compose(w, f) == u for w in hom_y_a):
-                continue
-            if excludes(u, hom_y_b):
+            if factor(u, f) is not None or excludes(u):
                 continue
             witness = {"reason": "compatible arrow does not factor",
                        "u": morphism_key(u), "through": morphism_key(f)}
@@ -537,29 +533,30 @@ def compute_K(f, depth: int) -> KResult:
 
     Starting from k = B and j the identity, whenever a pair alpha, beta:
     B => X with f;alpha = f;beta admits no j' with j;beta = j';alpha,
-    replace k by the pullback of j;beta along alpha.  One pass over the
-    pairs, in checker order, takes the same steps as rescanning from the
-    first pair after every step would: a pair that (k, j) satisfies stays
-    satisfied when k shrinks (precompose its j' with the inclusion), and
-    the step taken for a pair satisfies it (the pullback leg into B is its
-    j').  The result carries the inclusion j: k -> B, the corestriction of
-    f, and the group of automorphisms of k fixing it.
+    that is when j;beta does not factor through alpha, replace k by the
+    pullback of j;beta along alpha.  One pass over the pairs, in checker
+    order, takes the same steps as rescanning from the first pair after
+    every step would: a pair that (k, j) satisfies stays satisfied when k
+    shrinks (precompose its j' with the inclusion), and the step taken
+    for a pair satisfies it (the pullback leg into B is its j').  The
+    result carries the inclusion j: k -> B, the corestriction of f, and
+    the group of automorphisms of k fixing it.
 
     Two shortcuts skip only pairs that take no step.  A class of agreeing
-    betas that is alpha alone needs no test: j;alpha is in ja because j is
-    in hom(k, B).  Otherwise the class's set {j;beta} is kept until j
-    changes, and when it lies inside ja no beta of the class can step, so
-    the ordered scan over the class, which steps at its first beta with
-    j;beta outside ja, runs only when it will step.  The classes are the
-    fibres of alpha -> f;alpha on each hom-set out of B, so they are
-    disjoint and the first member names one.
+    betas that is alpha alone needs no test: j;alpha factors through
+    alpha by j.  Otherwise the class's set {j;beta} is kept until j
+    changes, and when each member factors through alpha no beta of the
+    class can step, so the ordered scan over the class, which steps at
+    its first beta with j;beta not factoring through alpha, runs only
+    when it will step.  The classes are the fibres of alpha -> f;alpha on
+    each hom-set out of B, so they are disjoint and the first member
+    names one.
     """
     a_obj, b_obj = f.dom, f.cod
     objects = checker_objects(f.site, depth, (a_obj, b_obj))
     covered = backend_of(f).pairs_covered(depth, (a_obj, b_obj), b_obj, a_obj)
 
     k, j = b_obj, identity(b_obj)
-    hom_k_b = hom_set(k, b_obj)
     steps = []
     through_j = {}  # first beta of a class -> {j;beta : beta in the class}
     for alpha, betas in _equalized_pairs(f, objects):
@@ -568,19 +565,17 @@ def compute_K(f, depth: int) -> KResult:
         jb = through_j.get(betas[0])
         if jb is None:
             jb = through_j[betas[0]] = {compose(j, beta) for beta in betas}
-        ja = {compose(j2, alpha) for j2 in hom_k_b}
-        if jb <= ja:
+        if all(factor(jbeta, alpha) is not None for jbeta in jb):
             continue
         for beta in betas:
-            if compose(j, beta) not in ja:
-                square = pullback(compose(j, beta), alpha)
+            jbeta = compose(j, beta)
+            if factor(jbeta, alpha) is None:
+                square = pullback(jbeta, alpha)
                 steps.append(square)
                 k, j = square.apex, compose(square.to_left, j)
-                hom_k_b = hom_set(k, b_obj)
-                ja = {compose(j2, alpha) for j2 in hom_k_b}
                 through_j.clear()
 
-    unit = next((i for i in hom_set(a_obj, k) if compose(i, j) == f), None)
+    unit = factor(f, j)
     if unit is None:
         raise SiteError("the mono does not factor through its own closure")
     fixing = [s for s in aut_group(k).elements if compose(unit, s) == unit]

@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from atomkit import (
+    AutGroup,
     FinSet,
     SiteError,
     aut_group,
@@ -117,6 +118,34 @@ def test_atom_iso_formal():
     assert atom_iso_formal(make_atom(FinSet(2)), unordered) is None
     tree_atom = make_atom(T3, aut_group(T3).generators)
     assert atom_iso_formal(tree_atom, make_atom(T1)) is None
+
+
+def _conjugate(g: AutGroup, h: AutGroup, n: int) -> bool:
+    """Whether p g p^-1 = h for some permutation p of range(n), on maps."""
+    want = {x.map for x in h.elements}
+    for p in itertools.permutations(range(n)):
+        back = sorted(range(n), key=p.__getitem__)  # p^-1
+        if {tuple(p[x.map[back[i]]] for i in range(n))
+                for x in g.elements} == want:
+            return True
+    return False
+
+
+def test_schanuel_atoms_are_isomorphic_exactly_when_conjugate():
+    """The paper's classification on finite sets: the atoms (n, G) and
+    (m, H) are isomorphic exactly when n == m and G and H are conjugate
+    in S_n.  Every pair of subgroups with n, m <= 3, across sizes."""
+    atoms = _finsetinj_atoms(3)
+    isomorphic = 0
+    for a, b in itertools.product(atoms, atoms):
+        n = a.base.size
+        want = n == b.base.size and _conjugate(a.group, b.group, n)
+        assert (atom_iso_formal(a, b) is not None) == want, (a, b)
+        isomorphic += want
+    assert len(atoms) ** 2 == 100
+    # 8 conjugacy classes: 7 of one subgroup, and the 3 subgroups of
+    # order 2 in S_3, which give 9 ordered pairs
+    assert isomorphic == 16
 
 
 def test_quotient_monotonicity_via_identity_rep():

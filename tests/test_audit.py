@@ -500,3 +500,22 @@ def test_tree_audits_print_the_recorded_reports(condition, capsys):
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == \
         DIGESTS["itree"][condition]["2"]
+
+
+@pytest.mark.parametrize("site, bound", [("itree", "2"), ("finsetinj", "6")])
+def test_c3_audits_print_the_recorded_reports(site, bound, capsys):
+    """Every C3 row asks is_iso, which reads an inverse off factor; the
+    stdout of `atomkit audit --condition c3` is byte for byte the one
+    recorded in audit_digests.json (CI checks itree bound 3)."""
+    assert cli.main(["audit", "--condition", "c3", "--site", site,
+                     "--bound", bound]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == DIGESTS[site]["c3"][bound]
+
+
+@pytest.mark.parametrize("site", ["finsetinj", "itree"])
+@pytest.mark.parametrize("run", [audit_c1, audit_c2prime, audit_c3, audit_c4],
+                         ids=lambda run: run.__name__)
+def test_audits_refuse_a_negative_bound(run, site):
+    with pytest.raises(SiteError, match="bound must be a natural number"):
+        run(site, -1)

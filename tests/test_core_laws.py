@@ -19,6 +19,7 @@ from atomkit import (
     decode_object,
     encode_morphism,
     encode_object,
+    factor,
     group_name,
     hom_set,
     identity,
@@ -112,9 +113,50 @@ def test_inverse_round_trips():
     assert inverse(make_injection(1, 2, (0,))) is None
 
 
+def _arrows_and_pairs(site: str, bound: int):
+    """Every arrow among objects_up_to(bound), and every pair (h, m) of
+    them with one codomain."""
+    pool = backend(site).objects_up_to(bound)
+    arrows = [f for a in pool for b in pool for f in hom_set(a, b)]
+    return arrows, [(h, m) for h in arrows for m in arrows if h.cod == m.cod]
+
+
+@pytest.mark.parametrize("site, bound, pairs", [("finsetinj", 3, 286),
+                                                ("itree", 2, 1179)])
+def test_factor_is_the_one_arrow_a_hom_set_scan_finds(site, bound, pairs):
+    """factor(h, m) is None exactly when no w in hom(dom h, dom m) has
+    w;m == h, and otherwise that w, the only one."""
+    _arrows, both = _arrows_and_pairs(site, bound)
+    assert len(both) == pairs
+    found = 0
+    for h, m in both:
+        scan = [w for w in hom_set(h.dom, m.dom) if compose(w, m) == h]
+        assert [factor(h, m)] == (scan or [None]), (h, m)
+        found += bool(scan)
+    assert 0 < found < pairs
+
+
+@pytest.mark.parametrize("site, bound", [("finsetinj", 3), ("itree", 2)])
+def test_inverse_is_the_arrow_the_two_sided_scan_finds(site, bound):
+    arrows, _pairs = _arrows_and_pairs(site, bound)
+    isos = 0
+    for f in arrows:
+        scan = next((g for g in hom_set(f.cod, f.dom)
+                     if compose(f, g) == identity(f.dom)
+                     and compose(g, f) == identity(f.cod)), None)
+        assert inverse(f) == scan, f
+        assert is_iso(f) == (scan is not None)
+        isos += scan is not None
+    assert 0 < isos < len(arrows)
+
+
+def test_factor_needs_one_codomain():
+    with pytest.raises(SiteError, match="different codomains"):
+        factor(make_injection(1, 2, (0,)), make_injection(1, 3, (0,)))
+
+
 def test_inverse_builds_the_identities_once_per_call(monkeypatch):
-    """inverse scans hom_set(f.cod, f.dom) with the two identities built
-    once, not once per candidate."""
+    """inverse builds the identity of each end once."""
     sigma = make_injection(3, 3, (2, 0, 1))
     built = []
     real = core.identity
@@ -126,7 +168,7 @@ def test_inverse_builds_the_identities_once_per_call(monkeypatch):
     monkeypatch.setattr(core, "identity", counted)
     assert compose(sigma, inverse(sigma)) == real(FinSet(3))
     assert len(hom_set(FinSet(3), FinSet(3))) == 6
-    assert len(built) <= 3  # one from is_identity, then one per end
+    assert len(built) <= 2  # one per end
 
 
 def test_pullback_along_identity():

@@ -16,6 +16,7 @@ from atomkit import (
     encode_object,
     enumerate_embeddings,
     enumerate_trees,
+    factor,
     hom_set,
     identity,
     is_iso,
@@ -32,7 +33,6 @@ from atomkit import (
 )
 from atomkit.itree import (
     _Builder,
-    _factors,
     _overlay,
     branch_index,
     c2prime_witness,
@@ -506,8 +506,8 @@ def test_preimage_agrees_with_a_scan_of_the_source():
 
 
 def test_factors_agrees_with_a_scan_of_the_embeddings():
-    """_factors reads a factorisation off the preimage of m; a scan of
-    every w: dom h -> dom m for w;m == h finds the same answer, on
+    """factor reads a factorisation off the preimage of m; a scan of
+    every w: dom h -> dom m for w;m == h finds the same w, or none, on
     mirrored ambient trees with tails of both labels."""
     pool = enumerate_trees(2, 6, ("i", "j"))
     found = []
@@ -515,8 +515,8 @@ def test_factors_agrees_with_a_scan_of_the_embeddings():
         z = build(_mirrored(t))
         arrows = [m for x in pool for m in enumerate_embeddings(x, z)]
         for h, m in itertools.product(arrows, repeat=2):
-            scan = any(compose(w, m) == h
-                       for w in enumerate_embeddings(h.dom, m.dom))
-            assert _factors(h, m) == scan
-            found.append(scan)
+            scan = [w for w in enumerate_embeddings(h.dom, m.dom)
+                    if compose(w, m) == h]
+            assert [factor(h, m)] == (scan or [None])
+            found.append(bool(scan))
     assert True in found and False in found

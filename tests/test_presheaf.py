@@ -403,7 +403,16 @@ def test_compute_K_composes_each_agreeing_class_once_per_inclusion(
         monkeypatch):
     """f: 0 -> 3 equalizes every pair out of 3, so each hom-set out of 3 is
     one class.  Rebuilding ja for every alpha and composing j;beta for
-    every beta of its class took 19,092 compositions at depth 3."""
+    every beta of its class took 19,092 compositions at depth 3, and
+    testing j;beta against the composites {j';alpha : j' in hom(k, 3)}
+    took 732; a factor call per composite composes no hom-set."""
+    calls = _count_composites(monkeypatch)
+    res = compute_K(make_injection(0, 3, ()), 3)
+    assert res.k == FinSet(0)
+    assert len(calls) <= 473
+
+
+def _count_composites(monkeypatch) -> list:
     calls = []
     then = Injection.then
 
@@ -412,9 +421,42 @@ def test_compute_K_composes_each_agreeing_class_once_per_inclusion(
         return then(self, other)
 
     monkeypatch.setattr(Injection, "then", counted)
-    res = compute_K(make_injection(0, 3, ()), 3)
-    assert res.k == FinSet(0)
-    assert len(calls) < 19_092 // 2
+    return calls
+
+
+@pytest.mark.parametrize("check, size, most", [
+    (compute_K, 1, 436), (compute_K, 2, 422),
+    (self_intersection_check, 0, 626), (self_intersection_check, 1, 235),
+    (self_intersection_check, 2, 118)])
+def test_checkers_test_factoring_without_composing_hom_sets(
+        monkeypatch, check, size, most):
+    """The composites a checker makes at depth 3 on the inclusion of
+    size points into 3.  Composing hom-sets to test whether an arrow
+    factors took, for compute_K, 1,099 and 1,654 on sizes 1 and 2, and
+    for self_intersection_check 1,194, 785 and 576 on sizes 0 to 2."""
+    calls = _count_composites(monkeypatch)
+    check(make_injection(size, 3, tuple(range(size))), 3)
+    assert len(calls) <= most
+
+
+def _sheaf_check(q, depth):
+    return sheaf_check_quotient(make_atom(q.cod), q, depth)
+
+
+def _local_iso_check(q, depth):
+    return local_iso_check(atom_identity(make_atom(q.cod)), [q.dom, q.cod],
+                           depth)
+
+
+@pytest.mark.parametrize("check", [self_intersection_check, compute_K,
+                                   _sheaf_check, _local_iso_check],
+                         ids=lambda check: check.__name__)
+@pytest.mark.parametrize("arrow, depth", [
+    (make_injection(1, 3, (0,)), -4), (make_injection(1, 2, (0,)), -1),
+    (enumerate_embeddings(T1, T3)[0], -3)], ids=["1-3", "1-2", "T1-T3"])
+def test_checkers_refuse_a_negative_depth(check, arrow, depth):
+    with pytest.raises(SiteError, match="depth must be a natural number"):
+        check(arrow, depth)
 
 
 def test_equalized_pairs_is_the_brute_force_pair_scan():
@@ -470,6 +512,9 @@ def test_checker_objects_bounds():
     trees = checker_objects("itree", 2, [T3])
     assert all(t.site == "itree" for t in trees)
     assert T3 in trees
+    for site, seed in (("finsetinj", FinSet(2)), ("itree", T3)):
+        with pytest.raises(SiteError, match="depth must be a natural"):
+            checker_objects(site, -1, [seed])
 
 
 def _pair_bound_misses(shared, tgt, depth):
