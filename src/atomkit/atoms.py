@@ -31,9 +31,8 @@ MAX_COEQ_STEPS = 64  # pullback steps before coequalize_representables gives up
 class FormalAtom(Value):
     _fields = ("base", "group")
 
-    def __init__(self, base, group: AutGroup):
-        super().__init__(base, group)
-        if group.obj != base:
+    def _check(self):
+        if self.group.obj != self.base:
             raise SiteError("atom group must consist of automorphisms of the base")
 
     @property
@@ -91,7 +90,7 @@ class AtomMap(Value):
         if not rep_is_valid(source, target, rep, variant):
             raise SiteError("arrow does not represent a map of atoms "
                             "(variant %r)" % variant)
-        super().__init__(source, target,
+        self._set_fields(source, target,
                          _canonical_rep(source, target, rep, variant), variant)
 
 

@@ -17,18 +17,9 @@ class FinSet(Value):
     _fields = ("size",)
     site = "finsetinj"
 
-    def __init__(self, size: int):
-        super().__init__(size)
-        if size < 0:
+    def _check(self):
+        if self.size < 0:
             raise SiteError("object size must be a natural number")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.size,) == (other.size,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.size,))
 
 
 class Injection(Value):
@@ -37,20 +28,6 @@ class Injection(Value):
 
     _fields = ("dom", "cod", "map")
     site = "finsetinj"
-
-    def __init__(self, dom: FinSet, cod: FinSet, map: tuple[int, ...]):
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "map", map)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.dom, self.cod, self.map) == (other.dom, other.cod,
-                                                      other.map)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.dom, self.cod, self.map))
 
     def __call__(self, i: int) -> int:
         return self.map[i]

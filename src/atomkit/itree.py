@@ -32,12 +32,11 @@ only place a FinitaryTree is built.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .core import (Cocone, PullbackSquare, RankValue, SiteError, Span, Value,
-                   commutes, compose, factor, is_int, object_key,
-                   register_backend)
+                   commutes, compose, factor, inline_cached_property, is_int,
+                   object_key, register_backend)
 
 INTERNAL, LEAF, TAIL = "internal", "leaf", "tail"
 AUDIT_LABELS = ("i", "j")
@@ -74,16 +73,11 @@ class FinitaryTree(Value):
     _fields = ("kinds", "children", "labels")
     site = "itree"
 
-    def __init__(self, kinds: tuple[str, ...],
-                 children: tuple[tuple[int, int] | None, ...],
-                 labels: tuple[str | None, ...]):
-        self.__dict__.update(kinds=kinds, children=children, labels=labels)
-
     @property
     def n_nodes(self) -> int:
         return len(self.kinds)
 
-    @cached_property
+    @inline_cached_property
     def child_addrs(self) -> tuple:
         """Per explicit node, what denoted_children returns there."""
         return tuple([((0, ch[0]), (0, ch[1])) if kind == INTERNAL
@@ -92,12 +86,12 @@ class FinitaryTree(Value):
                       for i, (kind, ch) in enumerate(zip(self.kinds,
                                                          self.children))])
 
-    @cached_property
+    @inline_cached_property
     def comb_tails(self) -> tuple[int | None, ...]:
         """Per explicit node, what comb_view returns there."""
         return self._subtree_tables()[0]
 
-    @cached_property
+    @inline_cached_property
     def label_sets(self) -> tuple[frozenset[str], ...]:
         """Per explicit node, the labels of the tails below it."""
         return self._subtree_tables()[1]
@@ -124,18 +118,10 @@ class FinitaryTree(Value):
         self.__dict__.update(comb_tails=tables[0], label_sets=tables[1])
         return tables
 
-    @cached_property
+    @inline_cached_property
     def canonical_key(self) -> str:
         """The key of canonical_form(self), equal on isomorphic trees."""
         return canonical_form(self).key
-
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if other.__class__ is self.__class__:
-            return (self.kinds, self.children, self.labels) == \
-                (other.kinds, other.children, other.labels)
-        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
@@ -465,13 +451,7 @@ class TreeEmbedding(Value):
     _fields = ("dom", "cod", "explicit_images", "tail_routes")
     site = "itree"
 
-    def __init__(self, dom: FinitaryTree, cod: FinitaryTree,
-                 explicit_images: tuple,
-                 tail_routes: tuple[tuple[int, int, int], ...]):
-        self.__dict__.update(dom=dom, cod=cod, explicit_images=explicit_images,
-                             tail_routes=tail_routes)
-
-    @cached_property
+    @inline_cached_property
     def key(self) -> str:
         """The morphism_key string."""
         imgs = ";".join("%d:%s" % (i, ",".join(map(str, a)))
@@ -479,20 +459,12 @@ class TreeEmbedding(Value):
         routes = ";".join("%d>%d" % (t, s) for t, s, _e in self.tail_routes)
         return "%s>%s:%s|%s" % (self.dom.key, self.cod.key, imgs, routes)
 
-    @cached_property
+    @inline_cached_property
     def _hash(self) -> int:
         """The hash of the field tuple, computed once: audits look
         embeddings up in their memo again and again."""
         return hash((self.dom, self.cod, self.explicit_images,
                      self.tail_routes))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.dom, self.cod, self.explicit_images,
-                    self.tail_routes) == (other.dom, other.cod,
-                                          other.explicit_images,
-                                          other.tail_routes)
-        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash

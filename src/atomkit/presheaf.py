@@ -42,9 +42,8 @@ class CheckVerdict(Value):
     _fields = ("status", "witness", "depth_used")
     _compare = ("status", "depth_used")
 
-    def __init__(self, status: str, witness: dict, depth_used: int = 0):
-        super().__init__(status, witness, depth_used)
-        if status not in ("pass", "fail", "unknown"):
+    def _check(self):
+        if self.status not in ("pass", "fail", "unknown"):
             raise SiteError("verdict status must be pass, fail or unknown")
 
     def __bool__(self) -> bool:
@@ -72,7 +71,7 @@ class PresheafFragment(Value):
     def __init__(self, site: str, objects: tuple,
                  elements: tuple[tuple[str, tuple[str, ...]], ...],
                  action: tuple[tuple[str, tuple[int, ...]], ...]):
-        super().__init__(site, objects, elements, action)
+        self._set_fields(site, objects, elements, action)
         els = dict(elements)
         act = dict(action)
         if len(els) != len(elements) or len(act) != len(action):

@@ -1,0 +1,135 @@
+"""Planted faults, and a runner that checks that tier-1 kills each one.
+
+Each fault is (file, exact old text, new text, rule broken).  For each
+fault the runner copies the repository to a temporary directory, applies
+the fault there, and runs tier-1 with -x.  It prints which test killed
+the fault, or that it survived.  It exits non-zero on any survivor that
+EQUIVALENT does not list, with a reason, as changing no behaviour; on
+any fault whose old text no longer occurs exactly once; and when pytest
+neither passes nor names a failing test.
+
+Run from anywhere (pytest does not collect this file):
+
+    python3 tests/mutants.py          # every fault
+    python3 tests/mutants.py 1 7      # the faults with these numbers
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+FAULTS = [
+    ("src/atomkit/itree.py",
+     "        if None in images or None in targets.values():",
+     "        if None in images:",
+     "itree factor: w exists only when m routes a tail onto every tail "
+     "that h routes to"),
+    ("src/atomkit/audit.py",
+     "                elif g in below[i]:\n"
+     "                    meet = meets[j, i] = g",
+     "                elif g in below[i]:\n"
+     "                    meet = meets[j, i] = f",
+     "C2' nested legs: when g factors through f, g is the meet"),
+    ("src/atomkit/itree.py",
+     "len(shared.tail_ids) == tails and",
+     "len(shared.tail_ids) >= tails - 1 and",
+     "tree pair bound: no pool covers a mono that leaves a tail free"),
+    ("src/atomkit/presheaf.py",
+     "    for y in frag._ranked:\n        for m in hom_set(y, x):",
+     "    for y in reversed(frag._ranked):\n        for m in hom_set(y, x):",
+     "support_element: the support is the least subobject in rank"),
+    ("src/atomkit/finsetinj.py",
+     "2 * tgt.size - shared.size <= depth + _top(seeds)",
+     "2 * tgt.size - shared.size <= depth + 1 + _top(seeds)",
+     "finsetinj pair bound: a pair restricts to 2|tgt| - |shared| points"),
+    ("src/atomkit/itree.py",
+     "2 * tgt.n_nodes - 1 + tails <= 2 * depth + 3",
+     "2 * tgt.n_nodes - 2 + tails <= 2 * depth + 3",
+     "tree pair bound, node clause: a pair restricts to 2e - 1 explicit "
+     "nodes plus one per tail"),
+    ("src/atomkit/itree.py",
+     "and 2 * tails <= depth\n",
+     "and 2 * tails <= depth + 1\n",
+     "tree pair bound, tails clause: a pair restricts to twice the tails"),
+    ("src/atomkit/core.py",
+     '"    return hash(%s)" % row("self", cls._compare)',
+     '"    return hash(%s)" % row("self", cls._compare[:-1])',
+     "Value.__hash__ hashes every compared field"),
+    ("src/atomkit/core.py",
+     '            lines.append("    self._check()")',
+     "            pass",
+     "Value.__init__ calls the class's _check"),
+    ("src/atomkit/core.py",
+     '% (row("self", cls._compare), row("other", cls._compare))',
+     '% (row("self", cls._fields), row("other", cls._fields))',
+     "Value.__eq__ compares _compare, not every field"),
+]
+
+# rule -> why the fault changes no behaviour; a fault listed here may
+# survive.  Never list a fault here to get a passing run without a proof.
+EQUIVALENT: dict[str, str] = {}
+
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
+                                ".hypothesis", "*.egg-info", "build",
+                                ".bench_work")
+
+
+def run_fault(number: int) -> tuple[str, str]:
+    """(outcome, detail) for one fault.  The outcome is killed (detail:
+    the first failing test), survived, stale (the old text does not occur
+    exactly once) or broken (pytest neither passed nor named a failure)."""
+    path, old, new, _rule = FAULTS[number - 1]
+    with tempfile.TemporaryDirectory(prefix="atomkit-mutant-") as tmp:
+        copy = pathlib.Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=IGNORE)
+        target = copy / path
+        text = target.read_text(encoding="utf-8")
+        if text.count(old) != 1:
+            return "stale", "old text occurs %d times in %s" % (
+                text.count(old), path)
+        target.write_text(text.replace(old, new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
+                 "-p", "no:cacheprovider"],
+                cwd=copy, env=env, capture_output=True, text=True,
+                timeout=900)
+        except subprocess.TimeoutExpired:
+            return "killed", "timeout"
+    if proc.returncode == 0:
+        return "survived", ""
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE)
+    if failed:
+        return "killed", failed.group(1)
+    return "broken", "pytest exited %d" % proc.returncode
+
+
+def main(argv: list[str]) -> int:
+    numbers = [int(a) for a in argv] or range(1, len(FAULTS) + 1)
+    bad = 0
+    for number in numbers:
+        rule = FAULTS[number - 1][3]
+        outcome, detail = run_fault(number)
+        if outcome == "survived" and rule in EQUIVALENT:
+            outcome, detail = "equivalent", EQUIVALENT[rule]
+        elif outcome != "killed":
+            bad += 1
+        print("[%d] %s: %s%s" % (number, outcome, rule,
+                                 " -- " + detail if detail else ""),
+              flush=True)
+    print("%d of %d faults not killed" % (bad, len(numbers)))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -553,6 +553,22 @@ def test_pair_bound_covers_every_equalized_pair(shared, tgt):
     assert _pair_bound_misses(shared, tgt, depth) == []
 
 
+@pytest.mark.parametrize("tgt, least", [
+    (_TI, 2),
+    (build(node(node(leaf(), leaf()), tail("i"))), 4),
+], ids=["tails-clause", "node-clause"])
+def test_tree_pair_bound_is_pinned_at_its_boundary(tgt, least):
+    """The least depth at which the tree pair bound, as written, covers a
+    pair out of T(i).  Into T(i) the tails clause decides it (2 * tails
+    <= depth); into the tree of 5 explicit nodes and 1 tail the node
+    clause does (2 * nodes - 1 + tails <= 2 * depth + 3).  This pins the
+    arithmetic, not its tightness: _pair_bound_misses finds no miss for
+    T(i) -> T(i) at depth 1, so the tails clause may be loose there."""
+    be = backend("itree")
+    assert next(d for d in range(8)
+                if be.pairs_covered(d, (_TI, tgt), tgt, _TI)) == least
+
+
 @pytest.mark.parametrize("shared", [T1, T3], ids=object_key)
 def test_pair_bound_says_no_when_the_mono_leaves_a_tail_free(shared):
     """Equalized pairs out of T(i) can follow its free tail to any depth

@@ -3,8 +3,9 @@ values compare and hash alike, hashes are those of the tuple of compared
 fields (so set and dict order, and every digest, match the field
 tuples), the fields marked as ignored stay out of equality, no field can
 be assigned or deleted, and every constructor still checks what it
-checked.  Importing the CLI pulls in neither dataclasses nor inspect,
-because every CLI call pays for its imports."""
+checked.  Each class's __init__, __eq__ and __hash__ are generated, but
+for the few a class writes itself.  Importing the CLI pulls in neither
+dataclasses nor inspect, because every CLI call pays for its imports."""
 
 import os
 import pathlib
@@ -23,6 +24,7 @@ from atomkit import (AtomComponent, AtomMap, AuditReport, AutGroup,
                      compute_K, decompose, enumerate_embeddings, identity,
                      leaf, make_atom, make_injection, node, pullback,
                      subgroup_generated, tail, unordered_pairs_fragment)
+from atomkit.core import Value
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -75,8 +77,16 @@ VALUES = {
 }
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
 def test_every_value_class_is_covered():
     assert len(VALUES) == 19
+    assert set(VALUES) == {cls for cls in _subclasses(Value)
+                           if cls.__module__.startswith("atomkit.")}
 
 
 @pytest.mark.parametrize("cls", list(VALUES), ids=lambda c: c.__name__)
@@ -91,13 +101,28 @@ def test_equal_values_compare_and_hash_as_their_field_tuple(cls):
     assert repr(a).startswith(cls.__name__ + "(" + compared[0] + "=")
 
 
-GENERIC = [cls for cls in VALUES if "__init__" not in vars(cls)]
+def _written(cls, method):
+    """Whether cls wrote method itself: Value compiles the methods it
+    generates from a file name that names the class."""
+    return vars(cls)[method].__code__.co_filename != \
+        "<value methods of %s.%s>" % (cls.__module__, cls.__qualname__)
+
+
+GENERIC = [cls for cls in VALUES if not _written(cls, "__init__")]
 
 
 def test_only_the_plain_records_use_the_generic_constructor():
-    assert sorted(cls.__name__ for cls in GENERIC) == [
-        "AtomComponent", "AuditReport", "AutGroup", "CoeqTrace",
-        "Decomposition", "KResult"]
+    assert len(GENERIC) == 17
+    assert sorted(cls.__name__ for cls in VALUES if cls not in GENERIC) == [
+        "AtomMap", "PresheafFragment"]
+    assert all(cls.__init__ is cls._set_fields for cls in GENERIC)
+
+
+def test_only_the_trees_store_their_hash_and_no_class_writes_eq():
+    assert sorted(cls.__name__ for cls in VALUES
+                  if _written(cls, "__hash__")) == [
+        "FinitaryTree", "TreeEmbedding"]
+    assert [cls for cls in VALUES if _written(cls, "__eq__")] == []
 
 
 @pytest.mark.parametrize("cls", GENERIC, ids=lambda c: c.__name__)
@@ -122,7 +147,7 @@ def test_one_field_values_hash_a_one_tuple():
 def test_values_that_differ_in_a_compared_field_differ():
     assert FinSet(2) != FinSet(3)
     assert _f() != _g()
-    assert CheckVerdict("pass", {}) != CheckVerdict("fail", {})
+    assert CheckVerdict("pass", {}, 0) != CheckVerdict("fail", {}, 0)
     assert CheckVerdict("pass", {}, 1) != CheckVerdict("pass", {}, 2)
     assert aut_group(FinSet(2)) != aut_group(FinSet(3))
     assert build(leaf()) != _tree()
@@ -180,7 +205,7 @@ def test_every_constructor_check_still_raises():
         (lambda: Cocone(FinSet(3), f, g), "land in the cocone object"),
         (lambda: PullbackSquare(f, g, FinSet(1), one, one),
          "does not commute"),
-        (lambda: CheckVerdict("maybe", {}), "pass, fail or unknown"),
+        (lambda: CheckVerdict("maybe", {}, 0), "pass, fail or unknown"),
         (lambda: FormalAtom(FinSet(2), aut_group(FinSet(3))),
          "automorphisms of the base"),
         (lambda: AtomMap(make_atom(FinSet(2)), make_atom(FinSet(1)), one),
