@@ -35,7 +35,7 @@ from .presheaf import (AtomComponent, CheckVerdict, ClosureError,
                        ordered_pairs_fragment, quotient_classes,
                        quotient_fragment, representable_fragment,
                        self_intersection_check, sheaf_check_quotient,
-                       stabilizer, support, support_element,
+                       stabilizer, support_element,
                        unordered_pairs_fragment)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

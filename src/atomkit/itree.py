@@ -56,21 +56,22 @@ class FinitaryTree(Value):
     constructor trusts its arguments: only _Builder.finish calls it, on
     trees that validate_tree or build checked or the library assembled.
 
-    finish also stores the per-tree indices on the value, as attributes
-    outside the fields (equality and repr ignore them):
+    Equality compares kinds, children and labels only; finish also passes
+    the per-tree indices, fields that equality ignores:
 
         parents   the parent id of each node, None at the root
         tail_ids  the ids of the tail markers, ascending
         paths     tail id -> explicit ids from the root down to the tail
         key       the object_key string
 
-    and the hash of the fields, which __hash__ returns.  The per-node
-    tables child_addrs, comb_tails and label_sets, and canonical_key, are
+    The per-node tables child_addrs, comb_tails and label_sets are
     computed on first use instead: most trees an audit builds are
     amalgams that nothing queries.
     """
 
-    _fields = ("kinds", "children", "labels")
+    _fields = ("kinds", "children", "labels", "parents", "tail_ids",
+               "paths", "key")
+    _compare = ("kinds", "children", "labels")
     site = "itree"
 
     @property
@@ -99,7 +100,8 @@ class FinitaryTree(Value):
     def _subtree_tables(self) -> tuple[tuple, tuple]:
         """Both subtree tables, filled bottom-up in one reverse-preorder
         loop (preorder numbers every child after its parent); the first
-        of the two properties read stores the other one as well."""
+        of the two properties read stores both, as inline_cached_property
+        stores."""
         kinds, children, labels = self.kinds, self.children, self.labels
         combs: list = [None] * len(kinds)
         below: list = [frozenset()] * len(kinds)
@@ -115,16 +117,9 @@ class FinitaryTree(Value):
                     combs[i] = combs[b]
                 below[i] = below[a] | below[b]
         tables = tuple(combs), tuple(below)
-        self.__dict__.update(comb_tails=tables[0], label_sets=tables[1])
+        object.__setattr__(self, "comb_tails", tables[0])
+        object.__setattr__(self, "label_sets", tables[1])
         return tables
-
-    @inline_cached_property
-    def canonical_key(self) -> str:
-        """The key of canonical_form(self), equal on isomorphic trees."""
-        return canonical_form(self).key
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 class TreeStats(NamedTuple):
@@ -195,11 +190,8 @@ class _Builder:
             while parents[path[-1]] is not None:
                 path.append(parents[path[-1]])
             paths[t] = tuple(path[::-1])
-        fields = (kinds, tuple(children), labels)
-        tree = FinitaryTree(*fields)
-        tree.__dict__.update(parents=parents, tail_ids=tuple(paths),
-                             paths=paths, key=keys[0], _hash=hash(fields))
-        return tree
+        return FinitaryTree(kinds, tuple(children), labels, parents,
+                            tuple(paths), paths, keys[0])
 
     def legs(self, tree: FinitaryTree, what: str) -> list[TreeEmbedding]:
         """The embedding of each host into the finished tree."""
@@ -458,16 +450,6 @@ class TreeEmbedding(Value):
                         for i, a in enumerate(self.explicit_images))
         routes = ";".join("%d>%d" % (t, s) for t, s, _e in self.tail_routes)
         return "%s>%s:%s|%s" % (self.dom.key, self.cod.key, imgs, routes)
-
-    @inline_cached_property
-    def _hash(self) -> int:
-        """The hash of the field tuple, computed once: audits look
-        embeddings up in their memo again and again."""
-        return hash((self.dom, self.cod, self.explicit_images,
-                     self.tail_routes))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def route(self, t: int) -> int:
         """The target tail whose branch the continuation of tail t follows.

@@ -60,18 +60,21 @@ class PresheafFragment(Value):
     action maps a listed arrow key to the index map between the element
     lists of its endpoints.  Actions must be injective and functorial on
     every composable listed pair whose composite is listed.  The keys
-    are the payload form only: the constructor reads each once, and the
-    tables inside key on the objects and arrows themselves, _els object
-    -> names and _rows listed arrow -> row, in listed order (hom-set
-    order over the pairs of listed objects).
+    are the payload form only: the constructor reads each once and
+    derives the tables, fields that equality ignores, keyed on the
+    objects and arrows themselves: _objs object key -> object, _rows
+    listed arrow -> row, in listed order (hom-set order over the pairs
+    of listed objects), _ranked the objects in rank order and _els
+    object -> names.
     """
 
-    _fields = ("site", "objects", "elements", "action")
+    _fields = ("site", "objects", "elements", "action",
+               "_objs", "_rows", "_ranked", "_els")
+    _compare = ("site", "objects", "elements", "action")
 
     def __init__(self, site: str, objects: tuple,
                  elements: tuple[tuple[str, tuple[str, ...]], ...],
                  action: tuple[tuple[str, tuple[int, ...]], ...]):
-        self._set_fields(site, objects, elements, action)
         els = dict(elements)
         act = dict(action)
         if len(els) != len(elements) or len(act) != len(action):
@@ -96,12 +99,11 @@ class PresheafFragment(Value):
                         rows[f] = row
         if act:
             raise SiteError("fragment action for unknown arrow %s" % min(act))
-        self.__dict__.update(
-            _objs=by_key, _rows=rows, _ranked=_by_rank(objects),
-            _els={obj: els[key] for key, obj in by_key.items()})
-        self._check_tables()
+        self._set_fields(site, objects, elements, action, by_key, rows,
+                         _by_rank(objects),
+                         {obj: els[key] for key, obj in by_key.items()})
 
-    def _check_tables(self) -> None:
+    def _check(self) -> None:
         """Check every action row's shape, injectivity and identities, then
         functoriality on the composable listed pairs only (f, g with
         cod f = dom g), in listed order: f in turn, then each g that
@@ -313,14 +315,9 @@ def support_element(frag: PresheafFragment, x, p: str):
                        % (object_key(x), p))
 
 
-def support(frag: PresheafFragment, x, p: str):
-    """The (y, m) of support_element."""
-    return support_element(frag, x, p)[:2]
-
-
 def stabilizer(frag: PresheafFragment, x, p: str) -> AutGroup:
     """Automorphisms of x fixing p; requires p to have full support."""
-    y, m = support(frag, x, p)
+    y, m, _q = support_element(frag, x, p)
     if not is_iso(m):
         raise SiteError("element %r is supported on the proper subobject %s"
                         % (p, object_key(y)))

@@ -60,8 +60,8 @@ FAULTS = [
      "and 2 * tails <= depth + 1\n",
      "tree pair bound, tails clause: a pair restricts to twice the tails"),
     ("src/atomkit/core.py",
-     '"    return hash(%s)" % row("self", cls._compare)',
-     '"    return hash(%s)" % row("self", cls._compare[:-1])',
+     '"        h = hash(%s)" % row("self", cls._compare)',
+     '"        h = hash(%s)" % row("self", cls._compare[:-1])',
      "Value.__hash__ hashes every compared field"),
     ("src/atomkit/core.py",
      '            lines.append("    self._check()")',
@@ -71,6 +71,36 @@ FAULTS = [
      '% (row("self", cls._compare), row("other", cls._compare))',
      '% (row("self", cls._fields), row("other", cls._fields))',
      "Value.__eq__ compares _compare, not every field"),
+    ("src/atomkit/core.py",
+     "                  \"        _setattr(self, '_hash', h)\",\n",
+     "",
+     "Value.__hash__ stores the hash it computes"),
+    ("src/atomkit/audit.py",
+     "cls = [first.setdefault(self.memo.compose(h, a), n)",
+     "cls = [first.setdefault(a, n)",
+     "C2' class tables: the class of a is that of the composite h;a"),
+    ("src/atomkit/audit.py",
+     "elif cf[n] == cf[k] or cg[n] == cg[k]:",
+     "elif cf[n] == cf[k]:",
+     "C2' length-2 shortcut: (u, v) links when it agrees on either leg"),
+    ("src/atomkit/presheaf.py",
+     "        if len(betas) == 1:\n            continue",
+     "        if len(betas) <= 2:\n            continue",
+     "compute_K: only a class that is alpha alone needs no test"),
+    ("src/atomkit/presheaf.py",
+     "if all(factor(jbeta, alpha) is not None for jbeta in jb):",
+     "if any(factor(jbeta, alpha) is not None for jbeta in jb):",
+     "compute_K: a class is skipped only when every j;beta factors"),
+    ("src/atomkit/finsetinj.py",
+     "tuple(map(m.map.index, h.map))",
+     "tuple(m.map.index(v) if v in m.map else 0 for v in h.map)",
+     "finsetinj factor: w exists only when m's image holds h's image"),
+    ("src/atomkit/itree.py",
+     "            xa = next((c for c in denoted_children(X, xa) or ()\n"
+     "                       if emb.image(c) == za), None)",
+     "            xa = next((c for c in denoted_children(X, xa) or ()),"
+     " None)",
+     "preimage_fn: a node's preimage is the child emb sends onto it"),
 ]
 
 # rule -> why the fault changes no behaviour; a fault listed here may

@@ -41,7 +41,6 @@ from atomkit import (
     self_intersection_check,
     sheaf_check_quotient,
     stabilizer,
-    support,
     support_element,
     tail,
     unordered_pairs_fragment,
@@ -130,7 +129,7 @@ def test_representable_fragment_on_a_tree_pool_validates():
 
 
 def test_support_named_cases():
-    y, m = support(UNORDERED, FinSet(2), "{0,1}")
+    y, m, _q = support_element(UNORDERED, FinSet(2), "{0,1}")
     assert y == FinSet(2)
     y, m, name = support_element(UNORDERED, FinSet(2), "{0}")
     assert y == FinSet(1)
@@ -142,7 +141,7 @@ def test_support_of_a_representable_class_is_its_base():
     frag = representable_fragment(FinSet(0), [FinSet(i) for i in range(3)])
     for x in (FinSet(0), FinSet(1), FinSet(2)):
         (name,) = frag.elements_at(x)
-        y, _m = support(frag, x, name)
+        y, _m, _q = support_element(frag, x, name)
         assert y == FinSet(0)
 
 
@@ -151,7 +150,7 @@ def test_support_is_idempotent():
         for x in frag.objects:
             for name in frag.elements_at(x):
                 y, m, inner = support_element(frag, x, name)
-                y2, _m2 = support(frag, y, inner)
+                y2, _m2, _q2 = support_element(frag, y, inner)
                 assert y2 == y
 
 

@@ -60,8 +60,8 @@ def _module_containers() -> dict:
 
 def test_no_module_keeps_a_global_cache():
     """Caches live in one call (the audits' hom-set memo) or on one value
-    (the indices itree._Builder.finish stores on a tree), so memory does
-    not grow with the calls a process has made."""
+    (its stored hash, a tree's index fields, an inline_cached_property
+    table), so memory does not grow with the calls a process has made."""
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         assert not re.search(r"\blru_cache\b|\bfunctools\.cache\b|"

@@ -3,9 +3,11 @@ values compare and hash alike, hashes are those of the tuple of compared
 fields (so set and dict order, and every digest, match the field
 tuples), the fields marked as ignored stay out of equality, no field can
 be assigned or deleted, and every constructor still checks what it
-checked.  Each class's __init__, __eq__ and __hash__ are generated, but
-for the few a class writes itself.  Importing the CLI pulls in neither
-dataclasses nor inspect, because every CLI call pays for its imports."""
+checked.  Every class's __eq__ and __hash__ are generated, and so is
+every __init__ but those of AtomMap and PresheafFragment; the hash is
+stored on first use, and no module writes an instance dict.  Importing
+the CLI pulls in neither dataclasses nor inspect, because every CLI
+call pays for its imports."""
 
 import os
 import pathlib
@@ -118,11 +120,30 @@ def test_only_the_plain_records_use_the_generic_constructor():
     assert all(cls.__init__ is cls._set_fields for cls in GENERIC)
 
 
-def test_only_the_trees_store_their_hash_and_no_class_writes_eq():
-    assert sorted(cls.__name__ for cls in VALUES
-                  if _written(cls, "__hash__")) == [
-        "FinitaryTree", "TreeEmbedding"]
-    assert [cls for cls in VALUES if _written(cls, "__eq__")] == []
+def test_no_value_class_writes_eq_or_hash():
+    assert [cls for cls in VALUES
+            if _written(cls, "__eq__") or _written(cls, "__hash__")] == []
+
+
+@pytest.mark.parametrize("cls", list(VALUES), ids=lambda c: c.__name__)
+def test_every_value_stores_the_hash_of_its_compared_fields(cls):
+    make, compared = VALUES[cls]
+    value = make()
+    first = hash(value)
+    stored = object.__getattribute__(value, "_hash")
+    assert stored == first == hash(tuple(getattr(value, n) for n in compared))
+    assert hash(value) == first
+
+
+def test_no_module_writes_an_instance_dict():
+    """Values store through object.__setattr__ only (see core.Value): the
+    one __dict__ in the package is the class dict __init_subclass__ reads."""
+    uses = [(path.name, line.strip())
+            for path in sorted((SRC / "atomkit").glob("*.py"))
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if "__dict__" in line or re.search(r"\bvars\(", line)]
+    assert uses == [("core.py", 'if "_compare" not in cls.__dict__:'),
+                    ("core.py", "if method not in cls.__dict__:")]
 
 
 @pytest.mark.parametrize("cls", GENERIC, ids=lambda c: c.__name__)
