@@ -11,19 +11,12 @@ A bound b covers the objects the site's objects_up_to(b) lists.
 from __future__ import annotations
 
 from .atoms import FormalAtom, coequalize_representables, make_atom
-from .core import (Span, SiteError, Value, amalgamate, aut_group, backend,
-                   backend_of, commutes, compose, hom_set, identity, is_iso,
-                   morphism_key, object_key, pullback, rank)
-from .presheaf import CheckVerdict
+from .core import (Span, SiteError, Value, amalgamate, aut_group, backend_of,
+                   commutes, compose, hom_set, identity, is_iso, morphism_key,
+                   object_key, pullback, rank)
+from .presheaf import CheckVerdict, object_pool
 
 MAX_CHAIN_STEPS = 32  # steps before atom_chain gives up
-
-
-def _pool(site: str, bound: int) -> list:
-    """The objects an audit at this bound covers; refuses a negative one."""
-    if bound < 0:
-        raise SiteError("bound must be a natural number, got %d" % bound)
-    return backend(site).objects_up_to(bound)
 
 
 class AuditReport(Value):
@@ -98,7 +91,7 @@ def audit_c1(site: str, bound: int) -> AuditReport:
     A span row passes exactly when amalgamate returns: amalgamate checks
     that its cocone commutes and raises SiteError when it does not.
     """
-    objects = _pool(site, bound)
+    objects = object_pool(site, bound)
     homs = {(a, b): [(f, morphism_key(f)) for f in hom_set(a, b)]
             for a in objects for b in objects}  # each arrow with its key
     rows = []
@@ -241,7 +234,7 @@ def audit_c2prime(site: str, bound: int) -> AuditReport:
     needs the zigzag, and c2prime_chain then checks the agreement on its
     own meet.
     """
-    objects = _pool(site, bound)
+    objects = object_pool(site, bound)
     memo = _Memo()
     rows = []
     verdicts: dict = {}  # (good, length, target) -> its one verdict
@@ -338,7 +331,7 @@ def audit_c3(site: str, bound: int = 0, chains=None) -> AuditReport:
                 "pass" if good else "fail",
                 {"length": len(chain), "steps": steps}, bound)))
         return AuditReport("C3", bound, tuple(rows))
-    objects = _pool(site, bound)
+    objects = object_pool(site, bound)
     ranks = [rank(x) for x in objects]
     for s, rs in zip(objects, ranks):
         for t, rt in zip(objects, ranks):
@@ -357,7 +350,7 @@ def audit_c3(site: str, bound: int = 0, chains=None) -> AuditReport:
 
 def audit_c4(site: str, bound: int) -> AuditReport:
     rows = []
-    for x in _pool(site, bound):
+    for x in object_pool(site, bound):
         grp = aut_group(x)
         closed = all(compose(s, t) in grp
                      for s in grp.elements for t in grp.elements)

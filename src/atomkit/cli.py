@@ -23,13 +23,13 @@ import sys
 from .atoms import (AtomMap, atom_compose, atom_hom, atom_iso_formal,
                     coequalize_representables, decode_atom, make_atom)
 from .audit import AUDITS, _regular_mono_row, c2prime_chain, verify_chain
-from .core import (BACKENDS, SiteError, Span, amalgamate, aut_group, backend,
+from .core import (BACKENDS, SiteError, Span, amalgamate, aut_group,
                    canonical_json, decode_morphism, decode_object, group_name,
                    hom_set, identity, morphism_key, object_key, pullback)
 from .itree import FinitaryTree, TreeTooDeep, tree_stats
 from .presheaf import (compute_K, decode_fragment, decompose, local_iso_check,
-                       self_intersection_check, sheaf_check_quotient,
-                       stabilizer, support_element)
+                       object_pool, self_intersection_check,
+                       sheaf_check_quotient, stabilizer, support_element)
 
 
 def _emit(data, args) -> None:
@@ -259,7 +259,7 @@ def run_presheaf_computek(args, m) -> tuple:
 
 
 def run_presheaf_localiso(args, m) -> tuple:
-    context = backend(m.source.site).objects_up_to(args.bound)
+    context = object_pool(m.source.site, args.bound)
     return _verdict(local_iso_check(m, context, args.depth))
 
 

@@ -33,9 +33,8 @@ class Value:
     holds for two values of one class that are the same object or have
     equal compared fields; __hash__ hashes the tuple of compared fields
     on first use, hash(x) == hash((x.a, x.b)), which orders every set of
-    values and so every output that lists one.  AtomMap and
-    PresheafFragment write an __init__ that derives fields, then calls
-    _set_fields.
+    values and so every output that lists one.  AtomMap writes an
+    __init__ that derives fields, then calls _set_fields.
 
     An instance refuses assignment and deletion.  It stores values in
     three places only, each with object.__setattr__: the generated
@@ -139,20 +138,6 @@ class Span(Value):
     @property
     def apex(self):
         return self.left.dom
-
-
-class Cospan(Value):
-    """Two morphisms into a common object: left: A -> Z, right: B -> Z."""
-
-    _fields = ("left", "right")
-
-    def _check(self):
-        if self.left.cod != self.right.cod:
-            raise SiteError("cospan legs must share their codomain")
-
-    @property
-    def target(self):
-        return self.left.cod
 
 
 class PullbackSquare(Value):
@@ -296,7 +281,8 @@ def rank(obj) -> RankValue:
 
 def pullback(f, g) -> PullbackSquare:
     """Pullback of the cospan (f, g), apex in canonical form."""
-    Cospan(f, g)
+    if f.cod != g.cod:
+        raise SiteError("cospan legs must share their codomain")
     return backend_of(f.dom).pullback(f, g)
 
 

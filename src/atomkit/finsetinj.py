@@ -142,16 +142,22 @@ class FinSetInjBackend:
     def zigzag(self, square: PullbackSquare, u: Injection,
                v: Injection) -> tuple:
         """Route everything off the left leg through fresh points; the outer
-        links agree on the left leg, the middle one on the right leg."""
+        links agree on the left leg, the middle one on the right leg.
+
+        w includes a into a plus one fresh point per point of z off the
+        image of f; k1 and k2 send that image by u and by v, and the j-th
+        point off it to the j-th fresh point.  All three are injective,
+        so built unchecked: u and v are injective and land below a.size,
+        and each fresh point, at or above a.size, is used once."""
         f, z, a = square.left, square.left.cod, u.cod
-        ap_size = a.size + z.size - f.dom.size
-        w = make_injection(a.size, ap_size, tuple(range(a.size)))
+        ap = FinSet(a.size + z.size - f.dom.size)
+        w = Injection(a, ap, tuple(range(a.size)))
         in_f = set(f.map)
-        fresh = iter(range(a.size, ap_size))
+        fresh = iter(range(a.size, ap.size))
         k1 = [u(i) if i in in_f else next(fresh) for i in range(z.size)]
         k2 = [v(i) if i in in_f else k1[i] for i in range(z.size)]
-        chain = (compose(u, w), make_injection(z.size, ap_size, tuple(k1)),
-                 make_injection(z.size, ap_size, tuple(k2)), compose(v, w))
+        chain = (compose(u, w), Injection(z, ap, tuple(k1)),
+                 Injection(z, ap, tuple(k2)), compose(v, w))
         return w, chain
 
     def full_group_name(self, obj: FinSet) -> str:

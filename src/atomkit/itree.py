@@ -882,35 +882,28 @@ def c2prime_witness(square: PullbackSquare, u: TreeEmbedding,
 
 def enumerate_trees(max_tails: int, max_explicit: int,
                     labels: tuple[str, ...]) -> list[FinitaryTree]:
-    """All canonical trees within the bounds, over the given label set."""
+    """All canonical trees within the bounds, over the given label set, by
+    size and then by canonical key: above size 1, each node over two
+    smaller ones that _nest keeps internal, once per key."""
     alphabet = tuple(sorted(set(labels)))
-    by_size: dict[int, list] = {}
-
-    def gen(size: int) -> list:
-        if size in by_size:
-            return by_size[size]
-        out: dict = {}
-        if size == 1:
-            out[(0,)] = (("leaf",), 0)
-            if max_tails >= 1:
-                for lab in alphabet:
-                    out[(1, lab)] = (("tail", lab), 1)
-        else:
-            for na in range(1, size - 1, 2):
-                for ka, (a, ta) in gen(na):
-                    for kb, (b, tb) in gen(size - 1 - na):
-                        if ka > kb or ta + tb > max_tails:
-                            continue
-                        if {a[0], b[0]} == {"tail", "leaf"}:
-                            continue
-                        out[(2, ka, kb)] = (("node", a, b), ta + tb)
-        by_size[size] = sorted(out.items())
-        return by_size[size]
-
-    found = []
+    by_size: dict[int, list] = {}  # size -> [(nested tree, its tails)]
+    trees = []
     for size in range(1, max_explicit + 1, 2):
-        found.extend(build(nested) for _k, (nested, _t) in gen(size))
-    return found
+        if size == 1:
+            made = [(_nest(LEAF, None), 0)] + [(_nest(TAIL, lab), 1)
+                                              for lab in alphabet]
+        else:
+            made = [(_nest(INTERNAL, None, (a, b)), ta + tb)
+                    for na in range(1, size - 1, 2) for a, ta in by_size[na]
+                    for b, tb in by_size[size - 1 - na]]
+        kept = {nested[0]: (nested, tails) for nested, tails in made
+                if tails <= max_tails and (size == 1 or nested[1] == INTERNAL)}
+        by_size[size] = [kept[key] for key in sorted(kept)]
+        for nested, _tails in by_size[size]:
+            builder = _Builder()
+            _replay(builder, nested)
+            trees.append(builder.finish())
+    return trees
 
 
 def _labels(trees) -> tuple[str, ...]:

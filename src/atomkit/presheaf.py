@@ -2,9 +2,10 @@
 
 A fragment is a finite window of a covariant set-valued functor: a list
 of objects, an ordered finite element set per object, and the action of
-each listed arrow as an injective index map.  Fragments feed supports,
-stabilizers and the atom decomposition, and provide evaluation contexts
-for the checkers.
+each listed arrow as an injective index map.  It holds the objects and
+arrows themselves; their keys appear only in its payload.  Fragments
+feed supports, stabilizers and the atom decomposition, and provide
+evaluation contexts for the checkers.
 
 The checkers quantify over "all objects X", which no desk-scale run can
 do, so each takes a depth and enumerates the test objects the site's
@@ -23,8 +24,9 @@ import itertools
 from .atoms import AtomMap, FormalAtom, class_rep, make_atom
 from .core import (AutGroup, SiteError, Value, aut_group, backend, backend_of,
                    compose, decode_object, encode_object, factor, hom_set,
-                   identity, is_identity, is_int, is_iso, morphism_key,
-                   object_key, pullback, rank, subgroup_generated)
+                   identity, inline_cached_property, is_identity, is_int,
+                   is_iso, morphism_key, object_key, pullback, rank,
+                   subgroup_generated)
 
 
 class ClosureError(SiteError):
@@ -56,61 +58,46 @@ class CheckVerdict(Value):
 class PresheafFragment(Value):
     """Finitely many objects with element lists and arrow actions.
 
-    elements maps each listed object key to its ordered element names;
-    action maps a listed arrow key to the index map between the element
-    lists of its endpoints.  Actions must be injective and functorial on
-    every composable listed pair whose composite is listed.  The keys
-    are the payload form only: the constructor reads each once and
-    derives the tables, fields that equality ignores, keyed on the
-    objects and arrows themselves: _objs object key -> object, _rows
-    listed arrow -> row, in listed order (hom-set order over the pairs
-    of listed objects), _ranked the objects in rank order and _els
-    object -> names.
+    elements pairs each listed object, in listed order, with its ordered
+    element names; action pairs each listed arrow, in hom-set order over
+    the pairs of listed objects, with its row: the index map between the
+    element lists of its endpoints.  Actions must be injective and
+    functorial on every composable listed pair whose composite is
+    listed.  fragment_from_tables alone reads payload keys, and
+    encode_fragment alone writes them.
+    The tables built on first use, which equality ignores, are _rows
+    listed arrow -> row, _els object -> names and _ranked the objects
+    in rank order.
     """
 
-    _fields = ("site", "objects", "elements", "action",
-               "_objs", "_rows", "_ranked", "_els")
-    _compare = ("site", "objects", "elements", "action")
+    _fields = ("site", "objects", "elements", "action")
 
-    def __init__(self, site: str, objects: tuple,
-                 elements: tuple[tuple[str, tuple[str, ...]], ...],
-                 action: tuple[tuple[str, tuple[int, ...]], ...]):
-        els = dict(elements)
-        act = dict(action)
-        if len(els) != len(elements) or len(act) != len(action):
-            raise SiteError("duplicate object or arrow key in fragment")
-        by_key = {}
-        for obj in objects:
-            key = object_key(obj)
-            if key in by_key:
-                raise SiteError("fragment lists object %s twice" % key)
-            by_key[key] = obj
-        if set(els) != set(by_key):
-            raise SiteError("fragment element table does not match its objects")
-        for key, names in els.items():
-            if len(set(names)) != len(names):
-                raise SiteError("duplicate element name at %s" % key)
-        rows = {}  # listed arrow -> its row, in listed order
-        for a in objects:
-            for b in objects:
-                for f in hom_set(a, b):
-                    row = act.pop(morphism_key(f), None)
-                    if row is not None:
-                        rows[f] = row
-        if act:
-            raise SiteError("fragment action for unknown arrow %s" % min(act))
-        self._set_fields(site, objects, elements, action, by_key, rows,
-                         _by_rank(objects),
-                         {obj: els[key] for key, obj in by_key.items()})
+    @inline_cached_property
+    def _rows(self) -> dict:
+        return dict(self.action)
+
+    @inline_cached_property
+    def _els(self) -> dict:
+        return dict(self.elements)
+
+    @inline_cached_property
+    def _ranked(self) -> tuple:
+        return _by_rank(self.objects)
 
     def _check(self) -> None:
-        """Check every action row's shape, injectivity and identities, then
-        functoriality on the composable listed pairs only (f, g with
-        cod f = dom g), in listed order: f in turn, then each g that
-        starts where f ends.  A composite is looked up by value, which
-        finds exactly the listed arrows.  Raises a site error naming the
-        first violation."""
-        rows, els = self._rows, self._els
+        """Check that the tables pair each object and arrow once and that
+        no object is listed twice, then each row's shape, injectivity and
+        identity, then functoriality on the composable listed pairs only
+        (f, g with cod f = dom g): f in listed order, then each g that
+        starts where f ends, the composite looked up by value.  Raises a
+        site error naming the first violation."""
+        rows, els, objects = self._rows, self._els, self.objects
+        if len(els) != len(self.elements) or len(rows) != len(self.action):
+            raise SiteError("duplicate object or arrow key in fragment")
+        if len(set(objects)) != len(objects):
+            twice = next(x for i, x in enumerate(objects) if x in objects[:i])
+            raise SiteError("fragment lists object %s twice"
+                            % object_key(twice))
         for f, row in rows.items():
             na, nb = len(els[f.dom]), len(els[f.cod])
             if len(row) != na or any(not 0 <= i < nb for i in row):
@@ -136,9 +123,10 @@ class PresheafFragment(Value):
     # -- access --------------------------------------------------------------
 
     def object_for(self, key: str):
-        if key not in self._objs:
-            raise ClosureError("fragment does not list object %s" % key)
-        return self._objs[key]
+        for obj in self.objects:
+            if object_key(obj) == key:
+                return obj
+        raise ClosureError("fragment does not list object %s" % key)
 
     def elements_at(self, obj) -> tuple[str, ...]:
         names = self._els.get(obj)
@@ -165,10 +153,35 @@ class PresheafFragment(Value):
 
 def fragment_from_tables(site: str, objects, elements: dict, action: dict) \
         -> PresheafFragment:
-    return PresheafFragment(
-        site, tuple(objects),
-        tuple(sorted((k, tuple(v)) for k, v in elements.items())),
-        tuple(sorted((k, tuple(v)) for k, v in action.items())))
+    """The fragment whose tables map object keys to element names and
+    arrow keys to rows: the one reader of fragment keys.  It formats the
+    key of each listed object, and of each arrow between them in listed
+    order, once; an action key left over names an unknown arrow."""
+    objects = tuple(objects)
+    by_key = {}
+    for obj in objects:
+        key = object_key(obj)
+        if key in by_key:
+            raise SiteError("fragment lists object %s twice" % key)
+        by_key[key] = obj
+    if set(elements) != set(by_key):
+        raise SiteError("fragment element table does not match its objects")
+    for key, names in sorted(elements.items()):
+        if len(set(names)) != len(names):
+            raise SiteError("duplicate element name at %s" % key)
+    act = dict(action)
+    rows = []  # (listed arrow, its row), in listed order
+    for a in objects:
+        for b in objects:
+            for f in hom_set(a, b):
+                row = act.pop(morphism_key(f), None)
+                if row is not None:
+                    rows.append((f, tuple(row)))
+    if act:
+        raise SiteError("fragment action for unknown arrow %s" % min(act))
+    return PresheafFragment(site, objects, tuple(
+        (obj, tuple(elements[key])) for key, obj in by_key.items()),
+        tuple(rows))
 
 
 def assert_pullback_closed(frag: PresheafFragment) -> None:
@@ -214,15 +227,14 @@ def _tabulate(site: str, objects, values, name, act) -> PresheafFragment:
     values(b)."""
     objects = tuple(objects)
     vals = {x: values(x) for x in objects}
-    action = {}
+    action = []
     for a, source in vals.items():
         for b, target in vals.items():
             index = {e: i for i, e in enumerate(target)}
-            for f in hom_set(a, b):
-                action[morphism_key(f)] = tuple(index[act(f, e)]
-                                                for e in source)
-    elements = {object_key(x): tuple(map(name, v)) for x, v in vals.items()}
-    return fragment_from_tables(site, objects, elements, action)
+            action += [(f, tuple(index[act(f, e)] for e in source))
+                       for f in hom_set(a, b)]
+    return PresheafFragment(site, objects, tuple(
+        (x, tuple(map(name, v))) for x, v in vals.items()), tuple(action))
 
 
 def representable_fragment(base, objects) -> PresheafFragment:
@@ -240,7 +252,7 @@ def quotient_fragment(atom: FormalAtom, objects) -> PresheafFragment:
 
 def unordered_pairs_fragment(max_size: int = 3) -> PresheafFragment:
     """Nonempty subsets of size at most two of each finite set."""
-    return _tabulate("finsetinj", backend("finsetinj").objects_up_to(max_size),
+    return _tabulate("finsetinj", object_pool("finsetinj", max_size),
                      lambda x: [s for k in (1, 2) for s in
                                 itertools.combinations(range(x.size), k)],
                      lambda s: "{%s}" % ",".join(map(str, s)),
@@ -249,7 +261,7 @@ def unordered_pairs_fragment(max_size: int = 3) -> PresheafFragment:
 
 def ordered_pairs_fragment(max_size: int = 3) -> PresheafFragment:
     """All pairs (a, b) of each finite set, acted on coordinatewise."""
-    return _tabulate("finsetinj", backend("finsetinj").objects_up_to(max_size),
+    return _tabulate("finsetinj", object_pool("finsetinj", max_size),
                      lambda x: [(i, j) for i in range(x.size)
                                 for j in range(x.size)],
                      lambda p: "(%d,%d)" % p,
@@ -257,10 +269,11 @@ def ordered_pairs_fragment(max_size: int = 3) -> PresheafFragment:
 
 
 def encode_fragment(frag: PresheafFragment) -> dict:
+    """The payload of a fragment: the one writer of fragment keys."""
     return {"site": frag.site,
             "objects": [encode_object(x) for x in frag.objects],
-            "elements": {k: list(v) for k, v in frag.elements},
-            "action": {k: list(v) for k, v in frag.action}}
+            "elements": {object_key(x): list(v) for x, v in frag.elements},
+            "action": {morphism_key(f): list(v) for f, v in frag.action}}
 
 
 def _table_of(table, ok) -> bool:
@@ -360,16 +373,15 @@ def decompose(frag: PresheafFragment) -> Decomposition:
             atoms.append(make_atom(x, [s for s, row in zip(auts, rows)
                                        if row[least] == least]))
 
-    members: list[list[tuple[str, str]]] = [[] for _ in atoms]
+    members: list[list[tuple]] = [[] for _ in atoms]  # (object, name)
     for x in frag.objects:
-        xk = object_key(x)
         for p in frag.elements_at(x):
             y, q = supported[(x, p)]
             seat = orbit_at.get((y, q))
             if seat is None:
                 raise ClosureError("support element %r at %s belongs to no "
                                    "component" % (q, object_key(y)))
-            members[seat].append((xk, p))
+            members[seat].append((x, p))
 
     for x in frag.objects:
         total = sum(len(quotient_classes(atom, x)) for atom in atoms)
@@ -383,6 +395,14 @@ def decompose(frag: PresheafFragment) -> Decomposition:
 
 # ---------------------------------------------------------------------------
 # bounded test-object enumeration and pair coverage
+
+def object_pool(site: str, bound: int) -> list:
+    """The site's objects_up_to(bound): every audit and pair fragment
+    starts here, so a negative bound never passes vacuously."""
+    if bound < 0:
+        raise SiteError("bound must be a natural number, got %d" % bound)
+    return backend(site).objects_up_to(bound)
+
 
 def checker_objects(site: str, depth: int, seeds) -> list:
     """Deterministic test objects for a checker run, as the site bounds

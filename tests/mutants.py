@@ -101,6 +101,25 @@ FAULTS = [
      "            xa = next((c for c in denoted_children(X, xa) or ()),"
      " None)",
      "preimage_fn: a node's preimage is the child emb sends onto it"),
+    ("src/atomkit/presheaf.py",
+     "    if act:\n        raise SiteError(\"fragment action for unknown arrow",
+     "    if False:\n        raise SiteError(\"fragment action for unknown arrow",
+     "fragment_from_tables: an action key that names no listed arrow is "
+     "refused"),
+    ("src/atomkit/presheaf.py",
+     "                row_fg = rows.get(compose(f, g))\n",
+     "                row_fg = rows.get(compose(f, g)) if is_identity(g) "
+     "else None\n",
+     "fragment _check: functoriality looks up the row of every listed "
+     "composite f;g"),
+    ("src/atomkit/presheaf.py",
+     "        yield from drawn\n",
+     "",
+     "_replayed: every call replays the items drawn so far"),
+    ("src/atomkit/itree.py",
+     "if tails <= max_tails and (size == 1 or nested[1] == INTERNAL)}",
+     "if tails <= max_tails}",
+     "enumerate_trees: a node over a tail and a leaf is not canonical"),
 ]
 
 # rule -> why the fault changes no behaviour; a fault listed here may

@@ -10,8 +10,10 @@ relies on the order of tail_ids instead of sorting them)."""
 import pytest
 
 from atomkit import (FinitaryTree, FinSet, Injection, SiteError, Span,
-                     amalgamate, backend, build, compose, decode_object,
-                     encode_object, hom_set, leaf, node, pullback, tail)
+                     amalgamate, audit_c2prime, backend, build, compose,
+                     decode_object, encode_object, hom_set, leaf, node,
+                     pullback, tail)
+from atomkit.finsetinj import FinSetInjBackend
 from atomkit.itree import (_Builder, _overlay, canonical_form, check_embedding,
                            enumerate_trees, equalizer_of, regular_mono_witness)
 
@@ -115,3 +117,21 @@ def test_enumerated_trees_keep_the_tree_invariants():
     trees = enumerate_trees(3, 7, ("i", "j"))
     assert len(trees) > len(backend("itree").objects_up_to(BOUND))
     assert [(t.key, p) for t in trees for p in _tree_problems(t)] == []
+
+
+def test_every_finsetinj_zigzag_builds_injections(monkeypatch):
+    """The zigzag builds w and its middle links with the trusted
+    constructor; at bound 3 the C2' audit calls it 580 times (4 at bound
+    2), and every w and every chain link is an injection."""
+    zigzag, made = FinSetInjBackend.zigzag, []
+
+    def recorded(self, square, u, v):
+        w, chain = zigzag(self, square, u, v)
+        made.append((w,) + tuple(chain))
+        return w, chain
+
+    monkeypatch.setattr(FinSetInjBackend, "zigzag", recorded)
+    audit_c2prime("finsetinj", 3)
+    assert len(made) == 580
+    assert [(f, p) for arrows in made for f in arrows
+            for p in injection_problems(f)] == []

@@ -66,6 +66,49 @@ def test_fragment_tables_are_validated():
                              {"0>1:": [], "1>1:0": [0, 0]})
 
 
+def _defective(*defects) -> dict:
+    """The payload of the unordered pairs over sets up to size 2 with
+    the named defects."""
+    data = encode_fragment(unordered_pairs_fragment(2))
+    for defect in defects:
+        if defect == "twice":
+            data["objects"].append(data["objects"][1])
+        elif defect == "mismatch":
+            data["elements"]["7"] = ["x"]
+        elif defect == "names":
+            data["elements"]["1"] = ["{0}", "{0}"]
+        elif defect == "unknown":
+            data["action"].update({"2>5:0,1": [0], "1>5:3": [0]})
+        else:  # a bad row: (arrow key, row)
+            data["action"][defect[0]] = defect[1]
+    return data
+
+
+SHAPE, INJECTIVE = ("1>2:0", [5]), ("2>2:1,0", [0, 0, 2])
+IDENTITY, FUNCTOR = ("2>2:0,1", [1, 0, 2]), ("1>2:0", [1])
+
+
+@pytest.mark.parametrize("defects, message", [
+    (("twice", "unknown"), "fragment lists object 1 twice"),
+    (("mismatch", "names", "unknown"),
+     "fragment element table does not match its objects"),
+    (("names", "unknown", SHAPE), "duplicate element name at 1"),
+    (("unknown", SHAPE), "fragment action for unknown arrow 1>5:3"),
+    ((SHAPE, IDENTITY), "action table for 1>2:0 has the wrong shape"),
+    ((INJECTIVE,), "action table for 2>2:1,0 is not injective"),
+    ((IDENTITY, FUNCTOR), "identity arrow must act as the identity"),
+    ((FUNCTOR,), "fragment action is not functorial on 1>2:0 then 2>2:1,0"),
+])
+def test_a_fragment_payload_reports_its_first_defect(defects, message):
+    """The payload checks report in a fixed order: an object listed
+    twice, the element table, element names and unknown arrow keys (the
+    least first) at the payload edge, then the rows, each row in listed
+    order for its shape, injectivity and identity, then functoriality."""
+    with pytest.raises(SiteError) as err:
+        decode_fragment(_defective(*defects))
+    assert str(err.value) == message
+
+
 def test_fragment_closure_is_checked():
     frag = unordered_pairs_fragment(3)
     assert_pullback_closed(frag)
@@ -106,26 +149,25 @@ def test_functoriality_check_names_the_first_bad_pair_in_listed_order():
     """Two listed pairs compose to 1>3:2, whose row is wrong.  The pair
     with the earlier f is named, although its g comes later."""
     objects = [FinSet(1), FinSet(2), FinSet(3)]
-    good = representable_fragment(FinSet(1), objects)
+    good = encode_fragment(representable_fragment(FinSet(1), objects))
     keep = {"1>1:0", "2>2:0,1", "3>3:0,1,2", "1>2:0", "1>2:1", "1>3:0",
             "1>3:1", "1>3:2", "2>3:0,2", "2>3:2,0"}
-    action = {k: list(v) for k, v in good.action if k in keep}
+    action = {k: v for k, v in good["action"].items() if k in keep}
     action["1>3:2"] = [0]
     bad = _nonfunctorial_pairs(objects, action)
     assert bad == [("1>2:0", "2>3:2,0"), ("1>2:1", "2>3:0,2")]
     with pytest.raises(SiteError) as err:
-        fragment_from_tables("finsetinj", objects, dict(good.elements),
-                             action)
+        fragment_from_tables("finsetinj", objects, good["elements"], action)
     assert str(err.value) == \
         "fragment action is not functorial on %s then %s" % bad[0]
 
 
 def test_representable_fragment_on_a_tree_pool_validates():
     pool = backend("itree").objects_up_to(2)
-    frag = representable_fragment(T1, pool)
-    assert len(frag.action) == sum(len(hom_set(a, b))
-                                   for a in pool for b in pool)
-    assert _nonfunctorial_pairs(pool, dict(frag.action)) == []
+    action = encode_fragment(representable_fragment(T1, pool))["action"]
+    assert len(action) == sum(len(hom_set(a, b))
+                              for a in pool for b in pool) > 0
+    assert _nonfunctorial_pairs(pool, action) == []
 
 
 def test_support_named_cases():
@@ -208,6 +250,72 @@ def test_decompose_formats_no_morphism_key(monkeypatch):
     for frag in frags:
         decompose(frag)
     assert calls == []
+
+
+def _key_calls(monkeypatch) -> tuple[list, list]:
+    """Record every object and every arrow whose key presheaf formats."""
+    objects, arrows = [], []
+    monkeypatch.setattr(presheaf, "object_key",
+                        lambda x: objects.append(x) or object_key(x))
+    monkeypatch.setattr(presheaf, "morphism_key",
+                        lambda f: arrows.append(f) or morphism_key(f))
+    return objects, arrows
+
+
+TREE_POOL = backend("itree").objects_up_to(1)
+TREE_ATOM = make_atom(T3, aut_group(T3).generators)
+FINSETS = [FinSet(i) for i in range(4)]
+SYM2 = make_atom(FinSet(2), (SWAP,))
+
+# (builder, the arrows whose keys name its elements)
+BUILDERS = {
+    "unordered-5": (lambda: unordered_pairs_fragment(5), lambda: []),
+    "ordered-5": (lambda: ordered_pairs_fragment(5), lambda: []),
+    "representable-finsetinj": (
+        lambda: representable_fragment(FinSet(1), FINSETS),
+        lambda: [u for x in FINSETS for u in hom_set(FinSet(1), x)]),
+    "representable-itree": (
+        lambda: representable_fragment(T1, TREE_POOL),
+        lambda: [u for x in TREE_POOL for u in hom_set(T1, x)]),
+    "quotient-finsetinj": (
+        lambda: quotient_fragment(SYM2, FINSETS),
+        lambda: [u for x in FINSETS for u in quotient_classes(SYM2, x)]),
+    "quotient-itree": (
+        lambda: quotient_fragment(TREE_ATOM, TREE_POOL),
+        lambda: [u for x in TREE_POOL
+                 for u in quotient_classes(TREE_ATOM, x)]),
+}
+
+
+@pytest.mark.parametrize("kind", list(BUILDERS))
+def test_building_a_fragment_formats_keys_only_to_name_elements(
+        monkeypatch, kind):
+    """A fragment holds its objects and arrows, so a builder formats no
+    object key and no arrow key (830 on each size-5 pair fragment when
+    the action was tabulated by key and matched back to the arrows).
+    The elements of a representable or quotient fragment are arrows,
+    and their names are those arrows' keys, each formatted once."""
+    build, named = BUILDERS[kind]
+    names = named()
+    objects, arrows = _key_calls(monkeypatch)
+    frag = build()
+    assert objects == [] and arrows == names
+    assert [x for x, _names in frag.elements] == list(frag.objects)
+    assert [f for f, _row in frag.action] == [
+        f for a in frag.objects for b in frag.objects for f in hom_set(a, b)]
+
+
+@pytest.mark.parametrize("kind", list(BUILDERS))
+def test_a_fragment_round_trips_formatting_each_key_once(monkeypatch, kind):
+    """decode_fragment, the one reader of fragment keys, formats the key
+    of each listed object and arrow once (every arrow between the listed
+    objects is listed here), and gives back the fragment encoded."""
+    frag = BUILDERS[kind][0]()
+    payload = encode_fragment(frag)
+    objects, arrows = _key_calls(monkeypatch)
+    assert decode_fragment(payload) == frag
+    assert objects == list(frag.objects)
+    assert arrows == [f for f, _row in frag.action]
 
 
 def test_decompose_reconstruction_counts():
@@ -301,6 +409,26 @@ def test_sheaf_check_draws_each_equalized_pair_once(monkeypatch):
     assert sheaf_check_quotient(atom, q, 2).status == "pass"
     objects = checker_objects(atom.site, 2, (atom.base, q.dom, q.cod))
     _assert_drawn_once(drawn, q, objects)
+
+
+def test_each_replay_starts_from_the_first_item():
+    """Every call of a replayed scan yields every item from the first,
+    although an earlier call stopped part way and the scan is read once.
+    No checker verdict in the tests tells a replay from a scan that
+    carries on where the last call stopped: there, the pairs left after
+    the stop still exclude every later arrow."""
+    reads = []
+
+    def scan():
+        for i in range(4):
+            reads.append(i)
+            yield i
+
+    items = presheaf._replayed(scan())
+    assert list(itertools.islice(items(), 2)) == [0, 1]
+    assert list(items()) == [0, 1, 2, 3]
+    assert list(items()) == [0, 1, 2, 3]
+    assert reads == [0, 1, 2, 3]
 
 
 def _count_draws(monkeypatch) -> list:
@@ -456,6 +584,17 @@ def _local_iso_check(q, depth):
 def test_checkers_refuse_a_negative_depth(check, arrow, depth):
     with pytest.raises(SiteError, match="depth must be a natural number"):
         check(arrow, depth)
+
+
+@pytest.mark.parametrize("build", [unordered_pairs_fragment,
+                                   ordered_pairs_fragment],
+                         ids=lambda build: build.__name__)
+def test_pair_fragments_refuse_a_negative_size(build):
+    """A negative size listed no object, and decompose of that empty
+    fragment returned no atom: a vacuous result."""
+    with pytest.raises(SiteError,
+                       match="^bound must be a natural number, got -1$"):
+        build(-1)
 
 
 def test_equalized_pairs_is_the_brute_force_pair_scan():

@@ -4,10 +4,9 @@ fields (so set and dict order, and every digest, match the field
 tuples), the fields marked as ignored stay out of equality, no field can
 be assigned or deleted, and every constructor still checks what it
 checked.  Every class's __eq__ and __hash__ are generated, and so is
-every __init__ but those of AtomMap and PresheafFragment; the hash is
-stored on first use, and no module writes an instance dict.  Importing
-the CLI pulls in neither dataclasses nor inspect, because every CLI
-call pays for its imports."""
+every __init__ but that of AtomMap; the hash is stored on first use, and
+no module writes an instance dict.  Importing the CLI pulls in neither
+dataclasses nor inspect, because every CLI call pays for its imports."""
 
 import os
 import pathlib
@@ -18,7 +17,7 @@ import sys
 import pytest
 
 from atomkit import (AtomComponent, AtomMap, AuditReport, AutGroup,
-                     CheckVerdict, CoeqTrace, Cocone, Cospan, Decomposition,
+                     CheckVerdict, CoeqTrace, Cocone, Decomposition,
                      FinitaryTree, FinSet, FormalAtom, Injection, KResult,
                      PresheafFragment, PullbackSquare, RankValue, SiteError,
                      Span, TreeEmbedding, amalgamate, atom_identity,
@@ -47,7 +46,6 @@ def _tree():
 VALUES = {
     RankValue: (lambda: RankValue((1, 2)), ("components",)),
     Span: (lambda: Span(_f(), _g()), ("left", "right")),
-    Cospan: (lambda: Cospan(_f(), _g()), ("left", "right")),
     PullbackSquare: (lambda: pullback(_f(), _g()),
                      ("left", "right", "apex", "to_left", "to_right")),
     Cocone: (lambda: amalgamate(Span(_f(), _g())),
@@ -86,7 +84,7 @@ def _subclasses(cls):
 
 
 def test_every_value_class_is_covered():
-    assert len(VALUES) == 19
+    assert len(VALUES) == 18
     assert set(VALUES) == {cls for cls in _subclasses(Value)
                            if cls.__module__.startswith("atomkit.")}
 
@@ -115,8 +113,8 @@ GENERIC = [cls for cls in VALUES if not _written(cls, "__init__")]
 
 def test_only_the_plain_records_use_the_generic_constructor():
     assert len(GENERIC) == 17
-    assert sorted(cls.__name__ for cls in VALUES if cls not in GENERIC) == [
-        "AtomMap", "PresheafFragment"]
+    assert [cls.__name__ for cls in VALUES if cls not in GENERIC] == [
+        "AtomMap"]
     assert all(cls.__init__ is cls._set_fields for cls in GENERIC)
 
 
@@ -221,7 +219,7 @@ def test_every_constructor_check_still_raises():
         (lambda: FinSet(-1), "natural number"),
         (lambda: RankValue((1, -1)), "rank components must be naturals"),
         (lambda: Span(f, identity(FinSet(2))), "share their domain"),
-        (lambda: Cospan(f, make_injection(1, 3, (0,))),
+        (lambda: pullback(f, make_injection(1, 3, (0,))),
          "share their codomain"),
         (lambda: Cocone(FinSet(3), f, g), "land in the cocone object"),
         (lambda: PullbackSquare(f, g, FinSet(1), one, one),
@@ -235,8 +233,12 @@ def test_every_constructor_check_still_raises():
                          make_atom(FinSet(1)), f),
          "does not represent a map of atoms"),
         (lambda: PresheafFragment("finsetinj", (FinSet(1),),
-                                  (("1", ("a",)), ("1", ("a",))), ()),
+                                  ((FinSet(1), ("a",)), (FinSet(1), ("a",))),
+                                  ()),
          "duplicate object or arrow key"),
+        (lambda: PresheafFragment("finsetinj", (FinSet(1), FinSet(1)),
+                                  ((FinSet(1), ("a",)),), ()),
+         "lists object 1 twice"),
     ]
     for build_value, message in cases:
         with pytest.raises(SiteError, match=message):
