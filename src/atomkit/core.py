@@ -132,7 +132,8 @@ class Span(Value):
     _fields = ("left", "right")
 
     def _check(self):
-        if self.left.dom != self.right.dom:
+        # a tuple compares identity before it calls __eq__
+        if (self.left.dom,) != (self.right.dom,):
             raise SiteError("span legs must share their domain")
 
     @property
@@ -161,7 +162,8 @@ class Cocone(Value):
     _fields = ("obj", "from_left", "from_right")
 
     def _check(self):
-        if self.from_left.cod != self.obj or self.from_right.cod != self.obj:
+        # legs that land in the cocone's own object take no __eq__ call
+        if (self.from_left.cod, self.from_right.cod) != (self.obj, self.obj):
             raise SiteError("cocone legs must land in the cocone object")
 
 

@@ -61,22 +61,32 @@ class FinitaryTree(Value):
 
         parents   the parent id of each node, None at the root
         tail_ids  the ids of the tail markers, ascending
-        paths     tail id -> explicit ids from the root down to the tail
         key       the object_key string
 
-    The per-node tables child_addrs, comb_tails and label_sets are
-    computed on first use instead: most trees an audit builds are
-    amalgams that nothing queries.
+    The tables paths, child_addrs, comb_tails, label_sets and
+    comb_layouts are computed on first use instead: most trees an audit
+    builds are amalgams, which at most the commutation check queries.
     """
 
-    _fields = ("kinds", "children", "labels", "parents", "tail_ids",
-               "paths", "key")
+    _fields = ("kinds", "children", "labels", "parents", "tail_ids", "key")
     _compare = ("kinds", "children", "labels")
     site = "itree"
 
     @property
     def n_nodes(self) -> int:
         return len(self.kinds)
+
+    @inline_cached_property
+    def paths(self) -> dict[int, tuple[int, ...]]:
+        """Tail id -> explicit ids from the root down to the tail."""
+        parents, paths = self.parents, {}
+        for t in self.tail_ids:
+            path, p = [t], parents[t]
+            while p is not None:
+                path.append(p)
+                p = parents[p]
+            paths[t] = tuple(path[::-1])
+        return paths
 
     @inline_cached_property
     def child_addrs(self) -> tuple:
@@ -96,6 +106,27 @@ class FinitaryTree(Value):
     def label_sets(self) -> tuple[frozenset[str], ...]:
         """Per explicit node, the labels of the tails below it."""
         return self._subtree_tables()[1]
+
+    @inline_cached_property
+    def comb_layouts(self) -> tuple:
+        """Per explicit node that comb_view names a tail at, the explicit
+        nodes of that comb as (node id, depth below it, side) triples,
+        side 0 on the branch; None at every other node."""
+        kinds, children, combs = self.kinds, self.children, self.comb_tails
+        layouts: list = [None] * len(kinds)
+        for nid in range(len(kinds)):
+            if combs[nid] is None:
+                continue
+            out, cur, rel = [(nid, 0, 0)], nid, 0
+            while kinds[cur] == INTERNAL:
+                cont, off = children[cur]
+                if combs[cont] is None:
+                    cont, off = off, cont
+                rel += 1
+                out += ((cont, rel, 0), (off, rel, 1))
+                cur = cont
+            layouts[nid] = tuple(out)
+        return tuple(layouts)
 
     def _subtree_tables(self) -> tuple[tuple, tuple]:
         """Both subtree tables, filled bottom-up in one reverse-preorder
@@ -136,20 +167,25 @@ class _Builder:
     child first, so a node's id is the count of nodes before it.  add
     takes its kind, label and parent id, its position in each host (None
     where it has none) and, on a tail, the host tail each inclusion
-    routes it along.  Meanwhile images[k] and tails[k] record where the
-    explicit nodes and tails of hosts[k] land (a tail emitted at a host
-    comb stands for the whole comb), so the legs out of the hosts and the
-    inclusions into them are complete when the walk returns.  finish is
-    the only place a FinitaryTree is built."""
+    routes it along; kinds, labels, parents and at hold them, one list
+    per column.  Meanwhile images[k] and tails[k] record where the
+    explicit nodes and tails of hosts[k] land.  A tail emitted at a host
+    comb stands for the whole comb: its nodes come from the host's
+    comb_layouts table.  So the legs out of the hosts and the inclusions
+    into them are complete when the walk returns.  finish, which reads
+    the columns, is the only place a FinitaryTree is built."""
 
     def __init__(self, *hosts: FinitaryTree):
-        self.nodes, self.at, self.routes, self.hosts = [], [], {}, hosts
+        self.kinds, self.labels, self.parents, self.at = [], [], [], []
+        self.routes, self.hosts = {}, hosts
         self.images = [[None] * len(h.kinds) for h in hosts]
         self.tails: list[dict[int, int]] = [{} for _h in hosts]
 
     def add(self, kind: str, label, parent, *at, routes=None) -> int:
-        fid = len(self.nodes)
-        self.nodes.append((kind, label, parent))
+        fid = len(self.kinds)
+        self.kinds.append(kind)
+        self.labels.append(label)
+        self.parents.append(parent)
         self.at.append(at)
         if routes is not None:
             self.routes[fid] = routes
@@ -159,16 +195,16 @@ class _Builder:
             if t is not None:
                 tails[t] = fid
                 if pos[0] == 0:
-                    for nid, rel, side in comb_layout(host, pos[1]):
-                        imgs[nid] = (0, fid) if rel == 0 else (1, fid, rel, side)
+                    for nid, rel, side in host.comb_layouts[pos[1]]:
+                        imgs[nid] = (1, fid, rel, side) if rel else (0, fid)
             elif pos is not None and pos[0] == 0:
                 imgs[pos[1]] = (0, fid)
         return fid
 
     def finish(self) -> FinitaryTree:
-        """The tree and its indices: one pass back over the nodes pairs
+        """The tree and its indices: one pass back over the columns pairs
         the children, builds the keys and lists the tails."""
-        kinds, labels, parents = zip(*self.nodes)
+        kinds, labels, parents = self.kinds, self.labels, self.parents
         children: list = [None] * len(kinds)
         keys = children[:]
         tails = []
@@ -176,29 +212,26 @@ class _Builder:
             kind, p = kinds[i], parents[i]
             if kind == INTERNAL:
                 a, b = children[i]
-                keys[i] = "(%s %s)" % (keys[a], keys[b])
+                keys[i] = f"({keys[a]} {keys[b]})"
             elif kind == LEAF:
                 keys[i] = "L"
             else:
-                keys[i] = "T(%s)" % labels[i]
+                keys[i] = f"T({labels[i]})"
                 tails.append(i)
             if p is not None and p != i - 1:  # a left child follows its parent
                 children[p] = (p + 1, i)
-        paths = {}
-        for t in reversed(tails):
-            path = [t]
-            while parents[path[-1]] is not None:
-                path.append(parents[path[-1]])
-            paths[t] = tuple(path[::-1])
-        return FinitaryTree(kinds, tuple(children), labels, parents,
-                            tuple(paths), paths, keys[0])
+        return FinitaryTree(tuple(kinds), tuple(children), tuple(labels),
+                            tuple(parents), tuple(tails[::-1]), keys[0])
 
     def legs(self, tree: FinitaryTree, what: str) -> list[TreeEmbedding]:
-        """The embedding of each host into the finished tree."""
-        if any([None in imgs for imgs in self.images]):
-            raise SiteError("%s failed to place every node" % what)
-        return [make_embedding(host, tree, imgs, tails) for host, imgs, tails
-                in zip(self.hosts, self.images, self.tails)]
+        """The embedding of each host into the finished tree, read off
+        images and tails."""
+        legs = []
+        for host, imgs, tails in zip(self.hosts, self.images, self.tails):
+            if None in imgs:
+                raise SiteError("%s failed to place every node" % what)
+            legs.append(make_embedding(host, tree, imgs, tails))
+        return legs
 
     def inclusion(self, tree, host, k: int) -> TreeEmbedding:
         """The finished tree into host: k-th positions and routes."""
@@ -397,20 +430,6 @@ def comb_children(tree: FinitaryTree, addr):
     return b, a
 
 
-def comb_layout(tree: FinitaryTree, nid: int) -> tuple[tuple[int, int, int], ...]:
-    """Explicit nodes inside the comb-view region below nid as
-    (node id, depth relative to nid, side) triples."""
-    out = [(nid, 0, 0)]
-    cur, rel = nid, 0
-    while tree.kinds[cur] == INTERNAL:
-        cont, off = comb_children(tree, (0, cur))
-        rel += 1
-        out.append((cont[1], rel, 0))
-        out.append((off[1], rel, 1))
-        cur = cont[1]
-    return tuple(out)
-
-
 def labels_below(tree: FinitaryTree, addr) -> frozenset[str]:
     if addr[0] == 1:
         return frozenset((tree.labels[addr[1]],)) if addr[3] == 0 else frozenset()
@@ -498,11 +517,9 @@ def make_embedding(dom: FinitaryTree, cod: FinitaryTree, images,
                    route_targets: dict[int, int]) -> TreeEmbedding:
     """Build an embedding; entry offsets are derived from the images.
     The routes follow dom.tail_ids, which is ascending."""
-    routes = []
-    for t in dom.tail_ids:
-        img = images[t]
-        routes.append((t, route_targets[t], img[2] if img[0] == 1 else 0))
-    return TreeEmbedding(dom, cod, tuple(images), tuple(routes))
+    return TreeEmbedding(dom, cod, tuple(images), tuple([
+        (t, route_targets[t], img[2] if (img := images[t])[0] == 1 else 0)
+        for t in dom.tail_ids]))
 
 
 def identity_embedding(tree: FinitaryTree) -> TreeEmbedding:
@@ -672,54 +689,63 @@ def _overlay(out: _Builder, f, g, x, a, b, parent) -> None:
     leaf on one side lies over the other side's whole subtree, carved
     with every comb as one tail marker; below the leaf the position on
     its side is None.  The walk keeps its own stack, left child on top,
-    and emits leaves and internal nodes inline: the hot path of add.
+    and emits every node inline, the hot path of add.  It reads the
+    child_addrs and comb_tails tables of the hosts and the apex, the
+    hosts' comb_layouts and the legs' explicit images; only at a
+    continuation address does it call denoted_children or image.
     """
     A, B = out.hosts
     X = None if f is None else f.dom
-    nodes, ats, (ia, ib) = out.nodes, out.at, out.images
-    # denoted_children, comb_view and image at explicit addresses, inline
+    kinds, labels, parents, ats = out.kinds, out.labels, out.parents, out.at
+    (ia, ib), (sa, sb) = out.images, out.tails
     cha, chb, cta, ctb = A.child_addrs, B.child_addrs, A.comb_tails, B.comb_tails
-    fi, gi = (None, None) if f is None else (f.explicit_images, g.explicit_images)
+    chx, ctx, fi, gi = (None,) * 4 if f is None else (
+        X.child_addrs, X.comb_tails, f.explicit_images, g.explicit_images)
     todo = [(x, a, b, parent)]
     while todo:
         x, a, b, parent = todo.pop()
-        fid = len(nodes)
+        fid, label = len(kinds), None
+        # denoted_children and comb_view at a and b; a continuation
+        # address with children lies on its tail's branch
         da = None if a is None else cha[a[1]] if a[0] == 0 \
             else denoted_children(A, a)
         db = None if b is None else chb[b[1]] if b[0] == 0 \
             else denoted_children(B, b)
+        ta = None if da is None else cta[a[1]] if a[0] == 0 else a[1]
+        tb = None if db is None else ctb[b[1]] if b[0] == 0 else b[1]
         if da is None or db is None:
             kind = LEAF
             if da is not None or db is not None:  # carve the other side
-                host, pos, (c1, c2) = (A, a, da) if db is None else (B, b, db)
-                t = comb_view(host, pos)
+                t, host = (ta, A) if db is None else (tb, B)
                 if t is not None:
-                    out.add(TAIL, host.labels[t], parent, a, b)
-                    continue
-                kind = INTERNAL
-                todo += (((None, c2, None, fid), (None, c1, None, fid))
-                         if db is None else
-                         ((None, None, c2, fid), (None, None, c1, fid)))
+                    kind, label = TAIL, host.labels[t]
+                else:
+                    kind, (c1, c2) = INTERNAL, da or db
+                    todo += (((None, c2, None, fid), (None, c1, None, fid))
+                             if db is None else
+                             ((None, None, c2, fid), (None, None, c1, fid)))
         else:
-            ta = cta[a[1]] if a[0] == 0 else comb_view(A, a)
-            tb = ctb[b[1]] if b[0] == 0 else comb_view(B, b)
             combs = ta is not None and tb is not None
-            dx = None if x is None else denoted_children(X, x)
+            dx = None if x is None else chx[x[1]] if x[0] == 0 \
+                else denoted_children(X, x)
+            kind = INTERNAL
             if dx is not None:
                 # merge combs only where the apex continues as a comb too,
                 # so that both routes follow one identified branch
-                if combs and comb_view(X, x) is not None:
-                    out.add(TAIL, A.labels[ta], parent, a, b)
-                    continue
-                for x1 in dx[::-1]:
-                    todo.append((x1, fi[x1[1]], gi[x1[1]], fid) if x1[0] == 0
-                                else (x1, f.image(x1), g.image(x1), fid))
+                if combs and (x[0] == 1 or ctx[x[1]] is not None):
+                    kind, label = TAIL, A.labels[ta]
+                else:
+                    x1, x2 = dx
+                    todo += (((x2, fi[x2[1]], gi[x2[1]], fid),
+                              (x1, fi[x1[1]], gi[x1[1]], fid)) if x1[0] == 0 else
+                             ((x2, f.image(x2), g.image(x2), fid),
+                              (x1, f.image(x1), g.image(x1), fid)))
             elif combs:
                 if A.labels[ta] == B.labels[tb]:
-                    out.add(TAIL, A.labels[ta], parent, a, b)
-                    continue
-                (ac, ao), (bc, bo) = comb_children(A, a), comb_children(B, b)
-                todo += ((None, ao, bc, fid), (None, ac, bo, fid))
+                    kind, label = TAIL, A.labels[ta]
+                else:
+                    (ac, ao), (bc, bo) = comb_children(A, a), comb_children(B, b)
+                    todo += ((None, ao, bc, fid), (None, ac, bo, fid))
             else:
                 (a1, a2), (b1, b2) = da, db
                 la1, la2 = labels_below(A, a1), labels_below(A, a2)
@@ -728,12 +754,24 @@ def _overlay(out: _Builder, f, g, x, a, b, parent) -> None:
                         > len(la1 & lb1) + len(la2 & lb2)):
                     b1, b2 = b2, b1
                 todo += ((None, a2, b2, fid), (None, a1, b1, fid))
-            kind = INTERNAL
-        nodes.append((kind, None, parent))
+        kinds.append(kind)
+        labels.append(label)
+        parents.append(parent)
         ats.append((a, b))
-        if a is not None and a[0] == 0:
+        # where the hosts land: a tail at a comb stands for the whole comb
+        if kind == TAIL and ta is not None:
+            sa[ta] = fid
+            if a[0] == 0:
+                for nid, rel, side in A.comb_layouts[a[1]]:
+                    ia[nid] = (1, fid, rel, side) if rel else (0, fid)
+        elif a is not None and a[0] == 0:
             ia[a[1]] = (0, fid)
-        if b is not None and b[0] == 0:
+        if kind == TAIL and tb is not None:
+            sb[tb] = fid
+            if b[0] == 0:
+                for nid, rel, side in B.comb_layouts[b[1]]:
+                    ib[nid] = (1, fid, rel, side) if rel else (0, fid)
+        elif b is not None and b[0] == 0:
             ib[b[1]] = (0, fid)
 
 
@@ -760,42 +798,48 @@ def regular_mono_witness(emb: TreeEmbedding):
     image of the source.
     """
     X, Y = emb.dom, emb.cod
-    pre = preimage_fn(emb)
     out = _Builder(Y, Y)  # where e1 and e2 send the nodes of Y
 
-    def walk(p, parent):
-        xp = pre(p)
-        if xp is None:
-            raise SiteError("walk escaped the embedding image")
+    def walk(xp, p, parent):
+        """Emit the nodes below p, whose preimage is xp: emb sends the
+        children of xp onto those of p, one of the two pairings."""
         ch = denoted_children(Y, p)
         if ch is None:
             return out.add(LEAF, None, parent, p, p)
-        t = comb_view(Y, p)
-        if denoted_children(X, xp) is not None:
+        xc = denoted_children(X, xp)
+        if xc is not None:
             # swallow a comb only where the source covers it cofinally,
             # i.e. keeps routing a tail along this branch
+            t = comb_view(Y, p)
             if t is not None and comb_view(X, xp) is not None:
                 return out.add(TAIL, Y.labels[t], parent, p, p)
             fid = out.add(INTERNAL, None, parent, p, p)
-            walk(ch[0], fid)
-            return walk(ch[1], fid)
+            if emb.image(xc[0]) != ch[0]:
+                xc = xc[::-1]
+            walk(xc[0], ch[0], fid)
+            return walk(xc[1], ch[1], fid)
         # two copies of the overlay of the child subtrees: e1 sends them
         # into the copies straight, e2 swapped
         fid = out.add(INTERNAL, None, parent, p, p)
-        first = len(out.nodes)
+        first = len(out.kinds)
         _overlay(out, None, None, None, ch[0], ch[1], fid)
-        shift = len(out.nodes) - first
-        for (kind, label, up), at in zip(out.nodes[first:], out.at[first:]):
-            out.add(kind, label, fid if up == fid else up + shift, *at[::-1])
+        end = len(out.kinds)
+        for i in range(first, end):
+            up = out.parents[i]
+            out.add(out.kinds[i], out.labels[i],
+                    fid if up == fid else up + end - first, *out.at[i][::-1])
 
-    walk((0, 0), None)
+    walk((0, 0), (0, 0), None)
     doubled = out.finish()
     return (doubled, *out.legs(doubled, "doubled tree"))
 
 
 def equalizer_of(e1: TreeEmbedding, e2: TreeEmbedding):
     """The subtree of the common domain where two parallel embeddings agree,
-    with its inclusion."""
+    with its inclusion.  The walk descends only below nodes where the pair
+    agrees: both send the root to the root, and where they agree on a node
+    and on one of its children they agree on the other, as each sends the
+    two onto the children of the common image."""
     if e1.dom != e2.dom or e1.cod != e2.cod:
         raise SiteError("equalizer needs a parallel pair")
     Y, out = e1.dom, _Builder()
@@ -803,8 +847,7 @@ def equalizer_of(e1: TreeEmbedding, e2: TreeEmbedding):
     def walk(p, parent):
         ch = denoted_children(Y, p)
         t = None if ch is None else comb_view(Y, p)
-        if t is not None and e1.route(t) == e2.route(t) \
-                and e1.image(p) == e2.image(p):
+        if t is not None and e1.route(t) == e2.route(t):
             out.add(TAIL, Y.labels[t], parent, p, routes=(t,))
         elif ch is None or e1.image(ch[0]) != e2.image(ch[0]):
             out.add(LEAF, None, parent, p)

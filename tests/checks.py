@@ -5,14 +5,20 @@ against test objects.  tree_table_problems and injection_problems
 restate the shape invariants that the FinitaryTree and Injection
 constructors do not check, so tests can hold every value the library
 assembles to them; tree_index_problems recomputes the indices that the
-tree builder's finish step stores on every tree and the subtree tables a
-tree computes on first use, embedding_hash_problems the hash an
+tree builder's finish step stores on every tree and the tables a tree
+computes on first use, embedding_hash_problems the hash an
 embedding stores, and tail_route_problems the order make_embedding gives
-the tail routes.
+the tail routes.  c1_witness_digest hashes every cocone and regular-mono
+witness behind the itree C1 audit, legs included.
 """
 
-from atomkit import compose, hom_set, object_key
-from atomkit.itree import INTERNAL, LEAF, TAIL
+import hashlib
+import itertools
+
+from atomkit import (Span, amalgamate, canonical_json, compose, hom_set,
+                     morphism_key, object_key)
+from atomkit.itree import INTERNAL, LEAF, TAIL, regular_mono_witness
+from atomkit.presheaf import object_pool
 
 
 def pullback_is_universal(square, test_objects) -> bool:
@@ -87,8 +93,8 @@ def tree_index_problems(tree) -> list[str]:
     """Every stored per-tree index that differs from the one recomputed
     from the node table: the parent map, the tail ids, the branch path of
     each tail, the object_key string, the hash of the fields, the denoted
-    children of each node, and the two subtree tables, each recomputed by
-    a walk below every node."""
+    children of each node, the two subtree tables and the comb layouts,
+    each recomputed by a walk below every node."""
     parents = [None] * len(tree.kinds)
     for i, ch in enumerate(tree.children):
         for c in ch or ():
@@ -136,17 +142,36 @@ def tree_index_problems(tree) -> list[str]:
             todo.extend(tree.children[j] or ())
         return frozenset(found)
 
+    def layout(i):
+        """Each node below i with its depth below i, side 0 on the branch
+        to the tail comb(i) and side 1 off it, sorted; None off a comb."""
+        if comb(i) is None:
+            return None
+        on, j = {i}, comb(i)
+        while j != i:
+            on.add(j)
+            j = parents[j]
+        found, todo = [], [(i, 0)]
+        while todo:
+            j, rel = todo.pop()
+            found.append((j, rel, 0 if j in on else 1))
+            todo.extend((c, rel + 1) for c in tree.children[j] or ())
+        return sorted(found)
+
     nodes = range(len(tree.kinds))
     want = {"parents": tuple(parents), "tail_ids": tails, "paths": paths,
             "key": key(0),
             "hash": hash((tree.kinds, tree.children, tree.labels)),
             "child_addrs": tuple(child_addrs(i) for i in nodes),
             "comb_tails": tuple(comb(i) for i in nodes),
-            "label_sets": tuple(labels(i) for i in nodes)}
+            "label_sets": tuple(labels(i) for i in nodes),
+            "comb_layouts": tuple(layout(i) for i in nodes)}
     got = {"parents": tree.parents, "tail_ids": tree.tail_ids,
            "paths": tree.paths, "key": object_key(tree), "hash": hash(tree),
            "child_addrs": tree.child_addrs, "comb_tails": tree.comb_tails,
-           "label_sets": tree.label_sets}
+           "label_sets": tree.label_sets,
+           "comb_layouts": tuple(None if rows is None else sorted(rows)
+                                 for rows in tree.comb_layouts)}
     return ["stored %s %r differs from %r" % (name, got[name], want[name])
             for name in want if got[name] != want[name]]
 
@@ -182,3 +207,31 @@ def injection_problems(f) -> list[str]:
     if len(set(f.map)) != len(f.map):
         problems.append("map is not injective")
     return problems
+
+
+def c1_witness_digest(bound: int) -> str:
+    """SHA-256 over what the itree C1 audit at bound builds, in its row
+    order: one canonical_json line per row, the object_key of the cocone
+    object and the morphism_key of each leg for a span, and the same
+    three keys of regular_mono_witness (the doubled tree, e1, e2) for a
+    mono.  The audit report names only each cocone's object."""
+    objects = object_pool("itree", bound)
+    homs = {(a, b): hom_set(a, b) for a, b in itertools.product(objects,
+                                                                 objects)}
+    digest = hashlib.sha256()
+
+    def row(obj, left, right):
+        line = canonical_json([object_key(obj), morphism_key(left),
+                               morphism_key(right)])
+        digest.update(line.encode("utf-8") + b"\n")
+
+    for a, b in itertools.product(objects, objects):
+        for f in homs[a, b]:
+            for x in objects:
+                for g in homs[a, x]:
+                    cone = amalgamate(Span(f, g))
+                    row(cone.obj, cone.from_left, cone.from_right)
+    for a, b in itertools.product(objects, objects):
+        for m in homs[a, b]:
+            row(*regular_mono_witness(m))
+    return digest.hexdigest()

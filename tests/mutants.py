@@ -120,6 +120,28 @@ FAULTS = [
      "if tails <= max_tails and (size == 1 or nested[1] == INTERNAL)}",
      "if tails <= max_tails}",
      "enumerate_trees: a node over a tail and a leaf is not canonical"),
+    ("src/atomkit/itree.py",
+     "                out += ((cont, rel, 0), (off, rel, 1))",
+     "                out += ((cont, rel, 1), (off, rel, 0))",
+     "comb_layouts: side 0 is the comb's branch, side 1 its hanging leaf"),
+    ("src/atomkit/itree.py",
+     "        if kind == TAIL and ta is not None:\n"
+     "            sa[ta] = fid\n",
+     "        if kind == TAIL and ta is not None:\n",
+     "_overlay: a tail emitted at a host comb records the host tail it "
+     "routes along"),
+    ("src/atomkit/itree.py",
+     "                    for b in h.explicit_images]\n"
+     "                and [(t, g.route(s)) for t, s, _e in self.tail_routes]\n"
+     "                == [(t, k.route(s)) for t, s, _e in h.tail_routes])",
+     "                    for b in h.explicit_images])",
+     "TreeEmbedding.then_equals: equal composites route every tail alike"),
+    ("src/atomkit/itree.py",
+     "            if emb.image(xc[0]) != ch[0]:\n"
+     "                xc = xc[::-1]\n",
+     "",
+     "regular_mono_witness: each child of p walks with the child of xp "
+     "that emb sends onto it"),
 ]
 
 # rule -> why the fault changes no behaviour; a fault listed here may

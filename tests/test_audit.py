@@ -44,6 +44,7 @@ from atomkit import audit, cli, itree
 from atomkit.audit import c2prime_chain, verify_chain
 from atomkit.core import backend_of
 from atomkit.finsetinj import FinSetInjBackend
+from checks import c1_witness_digest
 
 T1 = build(leaf())
 T3 = build(node(leaf(), leaf()))
@@ -500,6 +501,14 @@ def test_tree_audits_print_the_recorded_reports(condition, capsys):
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == \
         DIGESTS["itree"][condition]["2"]
+
+
+def test_c1_cocones_and_witness_pairs_hash_as_recorded():
+    """Every cocone of the itree C1 audit at bound 2 with both legs, and
+    every regular-mono witness pair, byte for byte as recorded in
+    audit_digests.json (CI checks bound 3); the report pins only each
+    cocone's object."""
+    assert c1_witness_digest(2) == DIGESTS["itree"]["c1_witnesses"]["2"]
 
 
 @pytest.mark.parametrize("site, bound", [("itree", "2"), ("finsetinj", "6")])
