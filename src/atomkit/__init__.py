@@ -16,9 +16,9 @@ from .atoms import (AtomMap, CoeqTrace, FormalAtom, atom_compose, atom_hom,
                     make_atom, rep_is_valid)
 from .audit import (AuditReport, atom_chain, audit_c1, audit_c2prime,
                     audit_c3, audit_c4, c2prime_chain, extend_parallel_pair)
-from .core import (AutGroup, Cocone, PullbackSquare, RankValue, SiteError,
-                   Span, amalgamate, aut_group, backend, canonical_json,
-                   compose, decode_morphism, decode_object, encode_morphism,
+from .core import (AutGroup, Cocone, PullbackSquare, SiteError, amalgamate,
+                   aut_group, backend, canonical_json, compose,
+                   decode_morphism, decode_object, encode_morphism,
                    encode_object, factor, group_name, hom_set, identity,
                    inverse, is_identity, is_iso, morphism_key, object_key,
                    pullback, rank, sort_key, subgroup_generated)

@@ -11,7 +11,7 @@ A bound b covers the objects the site's objects_up_to(b) lists.
 from __future__ import annotations
 
 from .atoms import FormalAtom, coequalize_representables, make_atom
-from .core import (Span, SiteError, Value, amalgamate, aut_group, backend_of,
+from .core import (SiteError, Value, amalgamate, aut_group, backend_of,
                    commutes, compose, hom_set, identity, is_iso, morphism_key,
                    object_key, pullback, rank)
 from .presheaf import CheckVerdict, object_pool
@@ -102,7 +102,7 @@ def audit_c1(site: str, bound: int) -> AuditReport:
                 for x in objects:
                     for g, gkey in homs[a, x]:
                         key = "span|%s|%s" % (fkey, gkey)
-                        cocone = object_key(amalgamate(Span(f, g)).obj)
+                        cocone = object_key(amalgamate(f, g).obj)
                         verdict = passes.get(cocone)
                         if verdict is None:
                             verdict = passes[cocone] = CheckVerdict(
@@ -340,8 +340,7 @@ def audit_c3(site: str, bound: int = 0, chains=None) -> AuditReport:
                     continue
                 rows.append(("mono|%s" % morphism_key(m), CheckVerdict(
                     "pass" if rs < rt else "fail",
-                    {"below": list(rs.components),
-                     "above": list(rt.components)}, bound)))
+                    {"below": list(rs), "above": list(rt)}, bound)))
     return AuditReport("C3", bound, tuple(rows))
 
 
@@ -377,11 +376,11 @@ def extend_parallel_pair(f, alpha, beta):
     if f.dom != alpha.dom or f.dom != beta.dom or alpha.cod != beta.cod:
         raise SiteError("the pair must share the mono's domain and a target")
     if alpha == beta:
-        cone = amalgamate(Span(f, alpha))
+        cone = amalgamate(f, alpha)
         return cone.from_right, cone.from_left, cone.from_left
-    first = amalgamate(Span(f, alpha))
+    first = amalgamate(f, alpha)
     u, v = first.from_left, first.from_right
-    second = amalgamate(Span(f, compose(beta, v)))
+    second = amalgamate(f, compose(beta, v))
     fprime = compose(v, second.from_right)
     alphaprime = compose(u, second.from_right)
     betaprime = second.from_left

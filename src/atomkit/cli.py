@@ -23,9 +23,9 @@ import sys
 from .atoms import (AtomMap, atom_compose, atom_hom, atom_iso_formal,
                     coequalize_representables, decode_atom, make_atom)
 from .audit import AUDITS, _regular_mono_row, c2prime_chain, verify_chain
-from .core import (BACKENDS, SiteError, Span, amalgamate, aut_group,
-                   canonical_json, decode_morphism, decode_object, group_name,
-                   hom_set, identity, morphism_key, object_key, pullback)
+from .core import (BACKENDS, SiteError, amalgamate, aut_group, canonical_json,
+                   decode_morphism, decode_object, group_name, hom_set,
+                   identity, morphism_key, object_key, pullback)
 from .itree import FinitaryTree, TreeTooDeep, tree_stats
 from .presheaf import (compute_K, decode_fragment, decompose, local_iso_check,
                        object_pool, self_intersection_check,
@@ -133,7 +133,7 @@ def run_tree_validate(args, data) -> tuple:
 def run_tree_stats(args, t) -> tuple:
     stats = _tree_stats(t)
     return {"key": object_key(t), "branch_count": stats.branch_count,
-            "f_count": stats.f_count, "rank": list(stats.rank.components),
+            "f_count": stats.f_count, "rank": list(stats),
             "aut_order": aut_group(t).order}, 0
 
 
@@ -144,7 +144,7 @@ def run_tree_embeddings(args, a, b) -> tuple:
 
 
 def run_tree_amalgamate(args, f, g) -> tuple:
-    cone = amalgamate(Span(f, g))
+    cone = amalgamate(f, g)
     return {"object": object_key(cone.obj),
             "from_left": morphism_key(cone.from_left),
             "from_right": morphism_key(cone.from_right)}, 0

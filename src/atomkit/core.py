@@ -12,7 +12,7 @@ Composition is diagrammatic throughout the package: compose(f, g) means
 from __future__ import annotations
 
 import json
-from functools import cached_property, total_ordering
+from functools import cached_property
 from typing import Iterable, Protocol
 
 
@@ -109,38 +109,6 @@ class inline_cached_property(cached_property):
         return value
 
 
-@total_ordering
-class RankValue(Value):
-    """Lexicographically ordered tuple of naturals measuring well-foundedness."""
-
-    _fields = ("components",)
-
-    def _check(self):
-        if any(c < 0 for c in self.components):
-            raise SiteError("rank components must be naturals: %r"
-                            % (self.components,))
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return self.components < other.components
-        return NotImplemented
-
-
-class Span(Value):
-    """Two morphisms out of a common object: left: X -> A, right: X -> B."""
-
-    _fields = ("left", "right")
-
-    def _check(self):
-        # a tuple compares identity before it calls __eq__
-        if (self.left.dom,) != (self.right.dom,):
-            raise SiteError("span legs must share their domain")
-
-    @property
-    def apex(self):
-        return self.left.dom
-
-
 class PullbackSquare(Value):
     """A cospan (left, right) together with its limit.
 
@@ -203,7 +171,10 @@ class Site(Protocol):
     objects_up_to(bound) lists the audit pool in canonical order;
     pairs_covered must return False when no finite pool covers the
     equalized pairs, since a checker's fail rests on it; factor(h, m)
-    returns the one w with w;m == h, or None (every arrow is mono)."""
+    returns the one w with w;m == h, or None (every arrow is mono);
+    rank(obj) is a tuple of naturals, ordered as tuples are, that drops
+    along every proper subobject; amalgamate(f, g) gets legs out of one
+    object, which core.amalgamate checks before it dispatches."""
 
     tag: str
     object_marker: str
@@ -212,9 +183,9 @@ class Site(Protocol):
     def identity(self, obj): ...
     def hom_set(self, a, b) -> list: ...
     def factor(self, h, m): ...
-    def rank(self, obj) -> RankValue: ...
+    def rank(self, obj) -> tuple: ...
     def pullback(self, f, g) -> PullbackSquare: ...
-    def amalgamate(self, span: Span) -> Cocone: ...
+    def amalgamate(self, f, g) -> Cocone: ...
     def objects_up_to(self, bound: int) -> list: ...
     def chain_domains(self, base) -> list: ...
     def checker_objects(self, depth: int, seeds) -> list: ...
@@ -277,7 +248,7 @@ def hom_set(a, b) -> list:
     return backend_of(a).hom_set(a, b)
 
 
-def rank(obj) -> RankValue:
+def rank(obj) -> tuple:
     return backend_of(obj).rank(obj)
 
 
@@ -288,10 +259,12 @@ def pullback(f, g) -> PullbackSquare:
     return backend_of(f.dom).pullback(f, g)
 
 
-def amalgamate(span: Span) -> Cocone:
-    """A cocone completing the span, deterministic and small."""
-    cone = backend_of(span.apex).amalgamate(span)
-    if not commutes(span.left, cone.from_left, span.right, cone.from_right):
+def amalgamate(f, g) -> Cocone:
+    """A cocone completing the span (f, g), deterministic and small."""
+    if (f.dom,) != (g.dom,):  # a tuple compares identity before __eq__
+        raise SiteError("span legs must share their domain")
+    cone = backend_of(f.dom).amalgamate(f, g)
+    if not commutes(f, cone.from_left, g, cone.from_right):
         raise SiteError("amalgamation produced a non-commuting cocone")
     return cone
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import itertools
 
-from .core import (Cocone, PullbackSquare, RankValue, SiteError, Span, Value,
-                   amalgamate, compose, is_int, object_key, register_backend)
+from .core import (Cocone, PullbackSquare, SiteError, Value, amalgamate,
+                   compose, is_int, object_key, register_backend)
 
 
 class FinSet(Value):
@@ -82,8 +82,8 @@ class FinSetInjBackend:
         except ValueError:
             return None
 
-    def rank(self, obj: FinSet) -> RankValue:
-        return RankValue((obj.size,))
+    def rank(self, obj: FinSet) -> tuple:
+        return (obj.size,)
 
     def pullback(self, f: Injection, g: Injection) -> PullbackSquare:
         # Intersection of the two images, listed ascending in the target.
@@ -93,10 +93,9 @@ class FinSetInjBackend:
         to_right = Injection(apex, g.dom, tuple(g.map.index(z) for z in common))
         return PullbackSquare(f, g, apex, to_left, to_right)
 
-    def amalgamate(self, span: Span) -> Cocone:
+    def amalgamate(self, f: Injection, g: Injection) -> Cocone:
         # Pushout: keep A's elements, append the B elements not glued to X.
-        f, g = span.left, span.right
-        glued = {g.map[i]: f.map[i] for i in range(span.apex.size)}
+        glued = {g.map[i]: f.map[i] for i in range(f.dom.size)}
         obj = FinSet(f.cod.size + g.cod.size - len(glued))
         from_left = Injection(f.cod, obj, tuple(range(f.cod.size)))
         values = []
@@ -130,7 +129,7 @@ class FinSetInjBackend:
 
     def regular_mono(self, m: Injection) -> tuple[bool, dict]:
         """The pushout legs of m along itself agree exactly on its image."""
-        cone = amalgamate(Span(m, m))
+        cone = amalgamate(m, m)
         u, v = cone.from_left, cone.from_right
         agree = sorted(b for b in range(m.cod.size) if u(b) == v(b))
         image = sorted(m.map)

@@ -15,7 +15,7 @@ witness behind the itree C1 audit, legs included.
 import hashlib
 import itertools
 
-from atomkit import (Span, amalgamate, canonical_json, compose, hom_set,
+from atomkit import (amalgamate, canonical_json, compose, hom_set,
                      morphism_key, object_key)
 from atomkit.itree import INTERNAL, LEAF, TAIL, regular_mono_witness
 from atomkit.presheaf import object_pool
@@ -229,7 +229,7 @@ def c1_witness_digest(bound: int) -> str:
         for f in homs[a, b]:
             for x in objects:
                 for g in homs[a, x]:
-                    cone = amalgamate(Span(f, g))
+                    cone = amalgamate(f, g)
                     row(cone.obj, cone.from_left, cone.from_right)
     for a, b in itertools.product(objects, objects):
         for m in homs[a, b]:

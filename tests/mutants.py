@@ -142,6 +142,34 @@ FAULTS = [
      "",
      "regular_mono_witness: each child of p walks with the child of xp "
      "that emb sends onto it"),
+    ("src/atomkit/audit.py",
+     "                        verdict = passes.get(cocone)\n",
+     "                        verdict = next(iter(passes.values()), None)\n",
+     "C1 verdict sharing: span rows share a verdict only with rows of the "
+     "same cocone key"),
+    ("src/atomkit/audit.py",
+     "length, good = 2, unit[n] and unit[k]",
+     "length, good = 2, unit[n]",
+     "C2' unit shortcut: a length-2 row needs u;id == u and v;id == v"),
+    ("src/atomkit/presheaf.py",
+     "    for x in reversed(frag._ranked):\n        names = frag.elements_at(x)",
+     "    for x in frag._ranked:\n        names = frag.elements_at(x)",
+     "decompose: atoms take their seats in descending rank order"),
+    ("src/atomkit/itree.py",
+     "        for t, other in ((a, b), (b, a)):",
+     "        for t, other in ((a, b),):",
+     "canonical_form (_nest): a node over a tail and a leaf collapses "
+     "whichever child the tail is"),
+    ("src/atomkit/itree.py",
+     "        elif ch is None or e1.image(ch[0]) != e2.image(ch[0]):",
+     "        elif ch is None or e1.image(p) != e2.image(p):",
+     "equalizer_of: the descent compares a child, as the node it stands "
+     "on already agrees"),
+    ("src/atomkit/core.py",
+     "    if (f.dom,) != (g.dom,):  # a tuple compares identity before __eq__\n"
+     "        raise SiteError(\"span legs must share their domain\")\n",
+     "",
+     "amalgamate: the legs of a span share their domain"),
 ]
 
 # rule -> why the fault changes no behaviour; a fault listed here may

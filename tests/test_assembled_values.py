@@ -9,8 +9,8 @@ relies on the order of tail_ids instead of sorting them)."""
 
 import pytest
 
-from atomkit import (FinitaryTree, FinSet, Injection, SiteError, Span,
-                     amalgamate, audit_c2prime, backend, build, compose,
+from atomkit import (FinitaryTree, FinSet, Injection, SiteError, amalgamate,
+                     audit_c2prime, backend, build, compose,
                      decode_object, encode_object, hom_set, leaf, node,
                      pullback, tail)
 from atomkit.finsetinj import FinSetInjBackend
@@ -58,7 +58,7 @@ def _assembled(pool) -> list:
                 sq = pullback(f, g)
                 made += [sq.apex, sq.to_left, sq.to_right]
             if f.dom == g.dom:
-                cone = amalgamate(Span(f, g))
+                cone = amalgamate(f, g)
                 made += [cone.obj, cone.from_left, cone.from_right]
     return made
 

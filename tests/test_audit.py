@@ -4,6 +4,7 @@ finiteness, and the atom-chain stabilization helper."""
 
 import hashlib
 import json
+import math
 import pathlib
 
 import pytest
@@ -13,7 +14,6 @@ from atomkit import (
     CheckVerdict,
     FinSet,
     SiteError,
-    Span,
     amalgamate,
     atom_chain,
     audit_c1,
@@ -57,6 +57,53 @@ def test_audit_objects_counts():
     assert len(trees) == 13
     with pytest.raises(SiteError):
         backend("nosuch").objects_up_to(2)
+
+
+def _perm(n: int, k: int) -> int:
+    """P(n, k) = n!/(n-k)!, the injections k -> n; 0 when there are none."""
+    return math.perm(n, k) if 0 <= k <= n else 0
+
+
+def _comb(n: int, k: int) -> int:
+    return math.comb(n, k) if 0 <= k <= n else 0
+
+
+def _finsetinj_instances(condition: str, bound: int) -> int:
+    """The rows of a finsetinj audit in closed form; sizes run over
+    0..bound."""
+    sizes = range(bound + 1)
+    if condition == "c1":  # spans f: a -> b, g: a -> x, then every mono
+        return (sum(_perm(b, a) * _perm(x, a)
+                    for a in sizes for b in sizes for x in sizes)
+                + sum(_perm(b, a) for a in sizes for b in sizes))
+    if condition == "c3":  # the monos s -> t that are not isos
+        return sum(_perm(t, s) for s in sizes for t in sizes if s < t)
+    # c2prime: legs f: x -> z and g: y -> z whose images share k points
+    # (y! orders of a y-subset with k points in the image of f), then
+    # u: z -> a and every v: z -> a that agrees with u on those k points
+    return sum(_perm(z, x) * math.factorial(y) * _comb(x, k)
+               * _comb(z - x, y - k)
+               * sum(_perm(a, z) * _perm(a - k, z - k) for a in sizes)
+               for z in sizes for x in sizes for y in sizes for k in sizes)
+
+
+# condition -> its row counts at bounds 0, 1, ...; the audit runs up to
+# RUN_TO, and the C2' count at bound 4 is that of the recorded fc8c6d33...
+# report (C2' at bound 5 would be 79,534,878 rows)
+CLOSED_FORMS = {"c1": [2, 8, 30, 176, 2090, 45512],
+                "c3": [0, 1, 4, 14, 55, 261],
+                "c2prime": [1, 6, 93, 4192, 421677]}
+RUN_TO = {"c1": 5, "c3": 5, "c2prime": 3}
+
+
+@pytest.mark.parametrize("condition", sorted(CLOSED_FORMS))
+def test_finsetinj_instances_match_their_closed_forms(condition):
+    counts = CLOSED_FORMS[condition]
+    assert [_finsetinj_instances(condition, b)
+            for b in range(len(counts))] == counts
+    for b in range(RUN_TO[condition] + 1):
+        report = audit.AUDITS[condition]("finsetinj", b)
+        assert len(report.verdicts) == counts[b]
 
 
 def test_c3_chain_steps_between_isomorphic_trees_are_repeats():
@@ -415,7 +462,7 @@ def _reference_c1(site: str, bound: int) -> AuditReport:
             for f in hom_set(a, b):
                 for x in objects:
                     for g in hom_set(a, x):
-                        cone = amalgamate(Span(f, g))
+                        cone = amalgamate(f, g)
                         rows.append(("span|%s|%s" % (morphism_key(f),
                                                      morphism_key(g)),
                                      CheckVerdict("pass", {

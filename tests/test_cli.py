@@ -9,7 +9,6 @@ import pytest
 
 from atomkit import (
     FinSet,
-    Span,
     amalgamate,
     atom_compose,
     atom_hom,
@@ -372,12 +371,20 @@ def test_tree_validate_accepts_a_valid_tree(capsys):
 def test_tree_amalgamate(tmp_path, capsys):
     f = decode_morphism(_data("root_in_t3.json"))
     g = enumerate_embeddings(T1, build(tail("i")))[0]
-    cone = amalgamate(Span(f, g))
+    cone = amalgamate(f, g)
     _expect(capsys, ["tree", "amalgamate", ROOT_IN_T3,
                      _write(tmp_path, "g.json", encode_morphism(g))],
             {"object": object_key(cone.obj),
              "from_left": morphism_key(cone.from_left),
              "from_right": morphism_key(cone.from_right)})
+
+
+def test_tree_amalgamate_refuses_legs_with_different_domains(tmp_path,
+                                                             capsys):
+    g = _write(tmp_path, "g.json", encode_morphism(identity(T3)))
+    assert main(["tree", "amalgamate", ROOT_IN_T3, g]) == 2
+    assert capsys.readouterr() == (
+        "", "error: span legs must share their domain\n")
 
 
 def test_tree_pullback(tmp_path, capsys):

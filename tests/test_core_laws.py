@@ -8,7 +8,6 @@ import pytest
 from atomkit import (
     FinSet,
     SiteError,
-    Span,
     amalgamate,
     aut_group,
     backend,
@@ -38,7 +37,6 @@ from atomkit import (
     tail,
 )
 from atomkit import core
-from atomkit.core import RankValue
 
 from checks import pullback_is_universal
 
@@ -201,26 +199,39 @@ def test_pullback_universal_property_exhaustively():
 
 
 def test_amalgamate_identity_span():
-    span = Span(identity(FinSet(2)), identity(FinSet(2)))
-    cone = amalgamate(span)
+    f = identity(FinSet(2))
+    cone = amalgamate(f, f)
     assert cone.obj == FinSet(2)
-    assert compose(span.left, cone.from_left) == compose(span.right, cone.from_right)
+    assert compose(f, cone.from_left) == compose(f, cone.from_right)
 
 
 def test_amalgamate_point_into_two_pairs():
-    span = Span(make_injection(1, 2, (0,)), make_injection(1, 2, (1,)))
-    cone = amalgamate(span)
+    f, g = make_injection(1, 2, (0,)), make_injection(1, 2, (1,))
+    cone = amalgamate(f, g)
     assert cone.obj == FinSet(3)
-    assert compose(span.left, cone.from_left) == compose(span.right, cone.from_right)
+    assert compose(f, cone.from_left) == compose(g, cone.from_right)
 
 
 def test_amalgamate_tail_labels():
     t1 = build(leaf())
     ti, tj = build(tail("i")), build(tail("j"))
-    span = Span(hom_set(t1, ti)[0], hom_set(t1, tj)[0])
-    cone = amalgamate(span)
+    f, g = hom_set(t1, ti)[0], hom_set(t1, tj)[0]
+    cone = amalgamate(f, g)
     assert object_key(cone.obj) == "(T(i) T(j))"
-    assert compose(span.left, cone.from_left) == compose(span.right, cone.from_right)
+    assert compose(f, cone.from_left) == compose(g, cone.from_right)
+
+
+@pytest.mark.parametrize("site", ["finsetinj", "itree"])
+def test_amalgamate_refuses_legs_with_different_domains(site, monkeypatch):
+    """Before the site is asked for a cocone."""
+    a, b = backend(site).objects_up_to(1)[:2]
+
+    def unreachable(f, g):
+        raise AssertionError("the site was asked to amalgamate")
+
+    monkeypatch.setattr(backend(site), "amalgamate", unreachable)
+    with pytest.raises(SiteError, match="^span legs must share their domain$"):
+        amalgamate(identity(a), identity(b))
 
 
 def test_aut_group_orders():
@@ -256,15 +267,24 @@ def test_group_names():
 
 
 def test_rank_values():
-    assert rank(FinSet(5)).components == (5,)
-    assert rank(build(node(leaf(), leaf()))).components == (0, 3)
-    assert rank(build(tail("i"))).components == (1, 0)
+    for obj, want in ((FinSet(5), (5,)), (build(node(leaf(), leaf())), (0, 3)),
+                      (build(tail("i")), (1, 0))):
+        assert type(rank(obj)) is tuple and rank(obj) == want
 
 
 def test_rank_order_is_lexicographic():
-    assert RankValue((0, 9)) < RankValue((1, 0))
-    assert RankValue((1, 0)) < RankValue((1, 1))
-    assert not RankValue((1, 0)) < RankValue((1, 0))
+    """Branches count first: a tail outranks any tree without one."""
+    t5 = build(node(node(leaf(), leaf()), leaf()))
+    ti, tij = build(tail("i")), build(node(tail("i"), tail("j")))
+    assert rank(t5) < rank(ti) < rank(tij)
+    assert not rank(ti) < rank(ti)
+
+
+@pytest.mark.parametrize("site, bound", [("finsetinj", 5), ("itree", 2)])
+def test_ranks_are_tuples_of_naturals(site, bound):
+    ranks = [rank(x) for x in backend(site).objects_up_to(bound)]
+    assert {len(r) for r in ranks} == {len(ranks[0])}
+    assert all(type(c) is int and c >= 0 for r in ranks for c in r)
 
 
 def test_proper_subobjects_have_smaller_rank():

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from atomkit import (
     FinSet,
     SiteError,
-    Span,
     amalgamate,
     aut_group,
     backend,
@@ -68,7 +67,7 @@ def test_amalgamate_size_and_joint_surjectivity():
     for x, a, b in itertools.product(objs, objs, objs):
         for f in hom_set(x, a):
             for g in hom_set(x, b):
-                cone = amalgamate(Span(f, g))
+                cone = amalgamate(f, g)
                 assert cone.obj.size == a.size + b.size - x.size
                 assert compose(f, cone.from_left) == compose(g, cone.from_right)
                 covered = set(cone.from_left.map) | set(cone.from_right.map)

@@ -8,7 +8,6 @@ import pytest
 
 from atomkit import (
     SiteError,
-    Span,
     backend,
     build,
     compose,
@@ -109,10 +108,10 @@ def test_canonical_form_collapses_redundant_combs():
 
 
 def test_tree_stats():
-    assert tree_stats(T1) == (0, 1, rank(T1))
+    assert tree_stats(T1) == (0, 1) == rank(T1)
     assert tree_stats(T3).f_count == 3
-    assert tree_stats(T5).rank.components == (0, 5)
-    assert tree_stats(TAIL_I) == (1, 0, rank(TAIL_I))
+    assert rank(T5) == (0, 5)
+    assert tree_stats(TAIL_I) == (1, 0) == rank(TAIL_I)
 
 
 def test_embeddings_from_single_leaf_are_unique():
@@ -215,23 +214,22 @@ def test_pullback_universal_property_sampled():
 
 
 def test_amalgamate_identity_span_returns_the_object():
-    cone = tree_amalgamate(Span(identity(T3), identity(T3)))
+    cone = tree_amalgamate(identity(T3), identity(T3))
     assert cone.obj == T3
     assert is_iso(cone.from_left)
 
 
 def test_amalgamate_splits_on_distinct_labels():
-    span = Span(enumerate_embeddings(T1, TAIL_I)[0],
-                enumerate_embeddings(T1, TAIL_J)[0])
-    cone = tree_amalgamate(span)
+    f, g = (enumerate_embeddings(T1, TAIL_I)[0],
+            enumerate_embeddings(T1, TAIL_J)[0])
+    cone = tree_amalgamate(f, g)
     assert object_key(cone.obj) == "(T(i) T(j))"
-    assert compose(span.left, cone.from_left) == compose(span.right, cone.from_right)
+    assert compose(f, cone.from_left) == compose(g, cone.from_right)
 
 
 def test_amalgamate_merges_equal_labels():
-    span = Span(enumerate_embeddings(T1, TAIL_I)[0],
-                enumerate_embeddings(T1, TAIL_I)[0])
-    cone = tree_amalgamate(span)
+    f = enumerate_embeddings(T1, TAIL_I)[0]
+    cone = tree_amalgamate(f, f)
     assert cone.obj == TAIL_I
 
 
@@ -240,7 +238,7 @@ def test_amalgamate_commutes_exhaustively_at_small_bound():
     for x, a, b in itertools.product(pool, pool, pool):
         for f in enumerate_embeddings(x, a):
             for g in enumerate_embeddings(x, b):
-                cone = tree_amalgamate(Span(f, g))
+                cone = tree_amalgamate(f, g)
                 assert compose(f, cone.from_left) == compose(g, cone.from_right)
 
 

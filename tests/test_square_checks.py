@@ -6,8 +6,8 @@ still be a SiteError."""
 
 import pytest
 
-from atomkit import (Cocone, PullbackSquare, SiteError, Span, amalgamate,
-                     backend, compose, hom_set, pullback)
+from atomkit import (Cocone, PullbackSquare, SiteError, amalgamate, backend,
+                     compose, hom_set, pullback)
 from atomkit.core import commutes
 
 SITES = ["finsetinj", "itree"]
@@ -19,11 +19,11 @@ def _pool(site):
 
 
 def _cocones(site):
-    """Every span of the pool with its cocone."""
+    """Every span (f, g) of the pool with its cocone."""
     pool = _pool(site)
-    spans = [Span(f, g) for a in pool for b in pool for f in hom_set(a, b)
+    spans = [(f, g) for a in pool for b in pool for f in hom_set(a, b)
              for x in pool for g in hom_set(a, x)]
-    return [(span, amalgamate(span)) for span in spans]
+    return [(span, amalgamate(*span)) for span in spans]
 
 
 def _squares(site):
@@ -44,7 +44,7 @@ def _composed(f, g, h, k) -> bool:
 
 def _cocone_checks(span, cone) -> list:
     """The check of the cocone, then each check with one leg swapped."""
-    f, g, u, v = span.left, cone.from_left, span.right, cone.from_right
+    (f, u), g, v = span, cone.from_left, cone.from_right
     return ([(f, g, u, v)] + [(f, other, u, v) for other in _others(g)]
             + [(f, g, u, other) for other in _others(v)])
 
@@ -70,9 +70,9 @@ def test_the_table_check_agrees_with_composing(site):
 def test_the_table_check_keeps_the_endpoint_checks():
     for site in SITES:
         span, cone = next((s, c) for s, c in _cocones(site)
-                          if s.left.cod != s.right.cod)
+                          if s[0].cod != s[1].cod)
         with pytest.raises(SiteError, match="cod of first factor"):
-            commutes(span.left, cone.from_right, span.right, cone.from_left)
+            commutes(span[0], cone.from_right, span[1], cone.from_left)
 
 
 @pytest.mark.parametrize("site", SITES)
@@ -84,9 +84,9 @@ def test_a_cocone_with_a_swapped_leg_is_a_site_error(site, monkeypatch):
             if _composed(f, g, u, v):
                 continue
             monkeypatch.setattr(be, "amalgamate",
-                                lambda _span, bad=Cocone(cone.obj, g, v): bad)
+                                lambda _f, _g, bad=Cocone(cone.obj, g, v): bad)
             with pytest.raises(SiteError, match="non-commuting cocone"):
-                amalgamate(span)
+                amalgamate(*span)
             monkeypatch.undo()
             planted += 1
     assert planted > 0

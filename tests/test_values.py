@@ -19,8 +19,8 @@ import pytest
 from atomkit import (AtomComponent, AtomMap, AuditReport, AutGroup,
                      CheckVerdict, CoeqTrace, Cocone, Decomposition,
                      FinitaryTree, FinSet, FormalAtom, Injection, KResult,
-                     PresheafFragment, PullbackSquare, RankValue, SiteError,
-                     Span, TreeEmbedding, amalgamate, atom_identity,
+                     PresheafFragment, PullbackSquare, SiteError,
+                     TreeEmbedding, amalgamate, atom_identity,
                      audit_c4, aut_group, build, coequalize_representables,
                      compute_K, decompose, enumerate_embeddings, identity,
                      leaf, make_atom, make_injection, node, pullback,
@@ -44,11 +44,9 @@ def _tree():
 
 # class -> (a fresh instance, the fields equality and hashing compare)
 VALUES = {
-    RankValue: (lambda: RankValue((1, 2)), ("components",)),
-    Span: (lambda: Span(_f(), _g()), ("left", "right")),
     PullbackSquare: (lambda: pullback(_f(), _g()),
                      ("left", "right", "apex", "to_left", "to_right")),
-    Cocone: (lambda: amalgamate(Span(_f(), _g())),
+    Cocone: (lambda: amalgamate(_f(), _g()),
              ("obj", "from_left", "from_right")),
     AutGroup: (lambda: aut_group(FinSet(2)), ("obj", "elements")),
     FormalAtom: (lambda: make_atom(FinSet(2)), ("base", "group")),
@@ -84,7 +82,7 @@ def _subclasses(cls):
 
 
 def test_every_value_class_is_covered():
-    assert len(VALUES) == 18
+    assert len(VALUES) == 16
     assert set(VALUES) == {cls for cls in _subclasses(Value)
                            if cls.__module__.startswith("atomkit.")}
 
@@ -112,7 +110,7 @@ GENERIC = [cls for cls in VALUES if not _written(cls, "__init__")]
 
 
 def test_only_the_plain_records_use_the_generic_constructor():
-    assert len(GENERIC) == 17
+    assert len(GENERIC) == 15
     assert [cls.__name__ for cls in VALUES if cls not in GENERIC] == [
         "AtomMap"]
     assert all(cls.__init__ is cls._set_fields for cls in GENERIC)
@@ -160,7 +158,6 @@ def test_the_generic_constructor_takes_one_value_per_field(cls):
 
 def test_one_field_values_hash_a_one_tuple():
     assert hash(FinSet(3)) == hash((3,)) != hash(3)
-    assert hash(RankValue((4,))) == hash(((4,),))
 
 
 def test_values_that_differ_in_a_compared_field_differ():
@@ -199,26 +196,11 @@ def test_fields_can_be_neither_assigned_nor_deleted(cls):
     assert value == make()
 
 
-def test_ranks_order_like_their_components():
-    pool = [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (2,), (1, 1, 1)]
-    for x in pool:
-        for y in pool:
-            a, b = RankValue(x), RankValue(y)
-            assert ((a < b), (a <= b), (a > b), (a >= b), (a == b)) == \
-                ((x < y), (x <= y), (x > y), (x >= y), (x == y)), (x, y)
-    ranks = [RankValue(c) for c in reversed(pool)]
-    assert [r.components for r in sorted(ranks)] == sorted(pool)
-    with pytest.raises(TypeError):
-        RankValue((1,)) < (1,)
-
-
 def test_every_constructor_check_still_raises():
     f, g = _f(), _g()
     one = identity(FinSet(1))
     cases = [
         (lambda: FinSet(-1), "natural number"),
-        (lambda: RankValue((1, -1)), "rank components must be naturals"),
-        (lambda: Span(f, identity(FinSet(2))), "share their domain"),
         (lambda: pullback(f, make_injection(1, 3, (0,))),
          "share their codomain"),
         (lambda: Cocone(FinSet(3), f, g), "land in the cocone object"),
