@@ -567,6 +567,14 @@ def compute_K(f, depth: int) -> KResult:
     when it will step.  The classes are the fibres of alpha -> f;alpha on
     each hom-set out of B, so they are disjoint and the first member
     names one.
+
+    The scan stops at the fixpoint: once j factors through f, no later
+    pair can step.  Say j = w;f.  For every pair with f;alpha = f;beta,
+    j;beta = w;f;beta = w;f;alpha = j;alpha, which factors through alpha
+    by j.  So j is tested against f before the scan and after each step,
+    and the scan ends as soon as j factors; an iso f draws no pair.  The
+    scan up to the stop is the full scan's, so k, j, the unit, the group,
+    the steps and the verdict are exactly those of the full scan.
     """
     a_obj, b_obj = f.dom, f.cod
     objects = checker_objects(f.site, depth, (a_obj, b_obj))
@@ -575,7 +583,8 @@ def compute_K(f, depth: int) -> KResult:
     k, j = b_obj, identity(b_obj)
     steps = []
     through_j = {}  # first beta of a class -> {j;beta : beta in the class}
-    for alpha, betas in _equalized_pairs(f, objects):
+    settled = factor(j, f) is not None
+    for alpha, betas in () if settled else _equalized_pairs(f, objects):
         if len(betas) == 1:
             continue
         jb = through_j.get(betas[0])
@@ -590,6 +599,9 @@ def compute_K(f, depth: int) -> KResult:
                 steps.append(square)
                 k, j = square.apex, compose(square.to_left, j)
                 through_j.clear()
+                settled = factor(j, f) is not None
+        if settled:
+            break
 
     unit = factor(f, j)
     if unit is None:

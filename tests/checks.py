@@ -9,14 +9,17 @@ tree builder's finish step stores on every tree and the tables a tree
 computes on first use, embedding_hash_problems the hash an
 embedding stores, and tail_route_problems the order make_embedding gives
 the tail routes.  c1_witness_digest hashes every cocone and regular-mono
-witness behind the itree C1 audit, legs included.
+witness behind the itree C1 audit, legs included, and checker_digest
+every compute_K and self_intersection_check result on the finsetinj
+monos up to a size.
 """
 
 import hashlib
 import itertools
 
-from atomkit import (amalgamate, canonical_json, compose, hom_set,
-                     morphism_key, object_key)
+from atomkit import (FinSet, amalgamate, canonical_json, compose,
+                     compute_K, hom_set, morphism_key, object_key,
+                     self_intersection_check)
 from atomkit.itree import INTERNAL, LEAF, TAIL, regular_mono_witness
 from atomkit.presheaf import object_pool
 
@@ -234,4 +237,30 @@ def c1_witness_digest(bound: int) -> str:
     for a, b in itertools.product(objects, objects):
         for m in homs[a, b]:
             row(*regular_mono_witness(m))
+    return digest.hexdigest()
+
+
+def checker_digest(size: int, depth: int) -> str:
+    """SHA-256 over compute_K and self_intersection_check at depth on
+    every finsetinj mono m -> n with n <= size, n and then m ascending,
+    each hom-set in its order: one canonical_json line per mono, with
+    the mono's key, then k, j, the unit, the group's elements, each
+    pullback step's apex and projections and the verdict of compute_K,
+    then the self-intersection verdict."""
+    digest = hashlib.sha256()
+    for n in range(size + 1):
+        for m in range(n + 1):
+            for f in hom_set(FinSet(m), FinSet(n)):
+                res = compute_K(f, depth)
+                sint = self_intersection_check(f, depth)
+                line = canonical_json([
+                    morphism_key(f), object_key(res.k), morphism_key(res.j),
+                    morphism_key(res.unit),
+                    [morphism_key(s) for s in res.group.elements],
+                    [[object_key(sq.apex), morphism_key(sq.to_left),
+                      morphism_key(sq.to_right)] for sq in res.steps],
+                    [res.verdict.status, res.verdict.witness,
+                     res.verdict.depth_used],
+                    [sint.status, sint.witness, sint.depth_used]])
+                digest.update(line.encode("utf-8") + b"\n")
     return digest.hexdigest()

@@ -170,6 +170,18 @@ FAULTS = [
      "        raise SiteError(\"span legs must share their domain\")\n",
      "",
      "amalgamate: the legs of a span share their domain"),
+    ("src/atomkit/presheaf.py",
+     "                through_j.clear()\n"
+     "                settled = factor(j, f) is not None\n",
+     "                through_j.clear()\n"
+     "                settled = factor(f, j) is not None\n",
+     "compute_K: the scan stops once j factors through f, not f through j"),
+    ("src/atomkit/presheaf.py",
+     "                through_j.clear()\n"
+     "                settled = factor(j, f) is not None\n",
+     "                through_j.clear()\n",
+     "compute_K: each pullback step tests again whether j factors through "
+     "f, so the scan stops at the fixpoint"),
 ]
 
 # rule -> why the fault changes no behaviour; a fault listed here may

@@ -2,6 +2,8 @@
 bounded checkers (sheaf condition, self-intersections, local isomorphism)."""
 
 import itertools
+import json
+import pathlib
 
 import pytest
 
@@ -49,6 +51,7 @@ from atomkit import presheaf
 from atomkit.atoms import AtomMap
 from atomkit.finsetinj import Injection
 from atomkit.presheaf import ClosureError, _equalized_pairs
+from checks import checker_digest
 
 T1 = build(leaf())
 T3 = build(node(leaf(), leaf()))
@@ -473,26 +476,36 @@ def test_compute_K_identity():
     assert group_name(res.group) == "triv"
 
 
-def _reference_violating_pair(f, k, j, objects):
+def _reference_violating_pair(f, k, j, objects, ja_of):
+    """The first pair alpha, beta (alpha-major, both in hom-set order) with
+    f;alpha = f;beta whose j;beta is not j';alpha for any j' in hom(k, B).
+    ja_of keeps {j';alpha : j' in hom(k, B)}, which depends on k and alpha
+    only, so one test can share it across monos and rescans."""
     hom_k_b = hom_set(k, f.cod)
     for x in objects:
         arrows = hom_set(f.cod, x)
-        through = [compose(f, beta) for beta in arrows]
-        for alpha, fa in zip(arrows, through):
-            ja = [compose(j2, alpha) for j2 in hom_k_b]
-            for beta, fb in zip(arrows, through):
-                if fa == fb and compose(j, beta) not in ja:
+        agree = {}
+        for beta in arrows:
+            agree.setdefault(compose(f, beta), []).append(
+                (beta, compose(j, beta)))
+        for alpha in arrows:
+            ja = ja_of.get((k, alpha))
+            if ja is None:
+                ja = ja_of[k, alpha] = {compose(j2, alpha) for j2 in hom_k_b}
+            for beta, jbeta in agree[compose(f, alpha)]:
+                if jbeta not in ja:
                     return alpha, beta
     return None
 
 
-def _reference_compute_K(f, depth):
-    """compute_K as a plain double loop over the pairs that rescans from
-    the first test object after every pullback step."""
+def _reference_compute_K(f, depth, ja_of):
+    """compute_K as a plain double loop over every pair that rescans from
+    the first test object after every pullback step, to the end."""
     a_obj, b_obj = f.dom, f.cod
     objects = checker_objects(f.site, depth, (a_obj, b_obj))
     k, j, apexes = b_obj, identity(b_obj), []
-    while (pair := _reference_violating_pair(f, k, j, objects)) is not None:
+    while (pair := _reference_violating_pair(f, k, j, objects,
+                                             ja_of)) is not None:
         alpha, beta = pair
         square = pullback(compose(j, beta), alpha)
         apexes.append(object_key(square.apex))
@@ -508,6 +521,7 @@ def _reference_compute_K(f, depth):
 
 _SET_MONOS = [f for n in range(4) for m in range(n + 1)
               for f in hom_set(FinSet(m), FinSet(n))]
+_TREE_POOL = backend("itree").objects_up_to(2)
 
 
 @pytest.mark.parametrize("monos, depth", [
@@ -515,15 +529,31 @@ _SET_MONOS = [f for n in range(4) for m in range(n + 1)
     ([f for a in enumerate_trees(1, 3, ("i",))
       for b in enumerate_trees(1, 3, ("i",)) for f in hom_set(a, b)], 2),
     (_SET_MONOS, 3),
+    ([f for m in range(5) for f in hom_set(FinSet(m), FinSet(4))], 3),
+    ([f for a in _TREE_POOL for b in _TREE_POOL for f in hom_set(a, b)], 1),
+    ([f for a in _TREE_POOL for b in _TREE_POOL for f in hom_set(a, b)], 3),
 ])
 def test_compute_K_single_pass_matches_the_rescanning_reference(monos, depth):
+    """Also the stop at the fixpoint: the reference scans every pair.  At
+    depth 3, 28 tree monos step on pairs of two agreeing classes, such as
+    L -> (T(i) T(j)); no finsetinj mono up to size 4 does."""
+    ja_of = {}
     for f in monos:
         res = compute_K(f, depth)
         got = ([object_key(sq.apex) for sq in res.steps], res.k, res.j,
                res.unit, res.group.order,
                (res.verdict.status, res.verdict.witness,
                 res.verdict.depth_used))
-        assert got == _reference_compute_K(f, depth)
+        assert got == _reference_compute_K(f, depth, ja_of)
+
+
+def test_checker_results_hash_as_recorded():
+    """compute_K and self_intersection_check on every finsetinj mono into
+    a set of size at most 4, at depth 3, byte for byte as recorded in
+    audit_digests.json (a CI job checks size 5)."""
+    digests = json.loads(pathlib.Path(__file__).with_name(
+        "audit_digests.json").read_text(encoding="utf-8"))
+    assert checker_digest(4, 3) == digests["finsetinj"]["checkers"]["4"]
 
 
 def test_compute_K_composes_each_agreeing_class_once_per_inclusion(
@@ -532,11 +562,12 @@ def test_compute_K_composes_each_agreeing_class_once_per_inclusion(
     one class.  Rebuilding ja for every alpha and composing j;beta for
     every beta of its class took 19,092 compositions at depth 3, and
     testing j;beta against the composites {j';alpha : j' in hom(k, 3)}
-    took 732; a factor call per composite composes no hom-set."""
+    took 732; a factor call per composite composes no hom-set (473), and
+    the scan ends once j factors through f (89)."""
     calls = _count_composites(monkeypatch)
     res = compute_K(make_injection(0, 3, ()), 3)
     assert res.k == FinSet(0)
-    assert len(calls) <= 473
+    assert len(calls) <= 89
 
 
 def _count_composites(monkeypatch) -> list:
@@ -552,7 +583,8 @@ def _count_composites(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("check, size, most", [
-    (compute_K, 1, 436), (compute_K, 2, 422),
+    pytest.param(compute_K, 1, 52, id="compute_K-1-436"),
+    pytest.param(compute_K, 2, 38, id="compute_K-2-422"),
     (self_intersection_check, 0, 626), (self_intersection_check, 1, 235),
     (self_intersection_check, 2, 118)])
 def test_checkers_test_factoring_without_composing_hom_sets(
@@ -560,10 +592,43 @@ def test_checkers_test_factoring_without_composing_hom_sets(
     """The composites a checker makes at depth 3 on the inclusion of
     size points into 3.  Composing hom-sets to test whether an arrow
     factors took, for compute_K, 1,099 and 1,654 on sizes 1 and 2, and
-    for self_intersection_check 1,194, 785 and 576 on sizes 0 to 2."""
+    for self_intersection_check 1,194, 785 and 576 on sizes 0 to 2;
+    compute_K took 436 and 422, the counts its cases are named for, while
+    it scanned past its fixpoint."""
     calls = _count_composites(monkeypatch)
     check(make_injection(size, 3, tuple(range(size))), 3)
     assert len(calls) <= most
+
+
+def _count_hom_reads(monkeypatch) -> list:
+    """Record the (dom, cod) of every hom-set presheaf reads itself."""
+    reads, read = [], presheaf.hom_set
+
+    def counted(a, b):
+        reads.append((a, b))
+        return read(a, b)
+
+    monkeypatch.setattr(presheaf, "hom_set", counted)
+    return reads
+
+
+@pytest.mark.parametrize("f, most", [
+    (make_injection(2, 3, (0, 1)), 4), (make_injection(0, 3, ()), 4),
+    (identity(FinSet(3)), None), (make_injection(3, 3, (2, 0, 1)), None),
+    (identity(T3), None)], ids=["2-3", "0-3", "id3", "perm3", "idT3"])
+def test_compute_K_reads_hom_sets_only_up_to_its_fixpoint(
+        monkeypatch, f, most):
+    """At depth 3 the full scan reads hom(3, x) for every test object x,
+    sizes 0 to 6.  The closure of 2 -> 3 and of 0 -> 3 is settled by size
+    4, so the scan stops there; an iso is settled before the scan and
+    reads no hom-set."""
+    reads = _count_hom_reads(monkeypatch)
+    res = compute_K(f, 3)
+    if most is None:
+        assert reads == []
+        assert res.steps == () and res.k == f.cod
+    else:
+        assert reads == [(f.cod, FinSet(n)) for n in range(most + 1)]
 
 
 def _sheaf_check(q, depth):
