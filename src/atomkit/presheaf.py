@@ -507,22 +507,37 @@ def self_intersection_check(f, depth: int) -> CheckVerdict:
     v;alpha: when u;beta does not factor through alpha.  fail reports
     the first u that neither factors through f nor escapes, when the pair
     bound is exhaustive; unknown otherwise.
+
+    The check is read off the closure j: k -> B of compute_K, on the
+    same listed objects: a listed u is compatible exactly when u
+    factors through j.
+    - If u = w;j, u is compatible: at the end of the scan j satisfies
+      every pair (see _closure), j;beta = j';alpha, so u;beta =
+      w;j';alpha.
+    - If u is compatible, u factors through j, by induction on the
+      steps.  u factors through the identity of B.  Say u = w;j before
+      the step that pulls j;beta back along alpha.  u is compatible, so
+      u;beta = v;alpha for some v, and w;j;beta = v;alpha makes (w, v)
+      a cone over that cospan from y.  The pullback is universal, so
+      (w, v) factors through its apex, and u through the new j.
+    So fail reports the first listed u that factors through j but not
+    through f.  A settled closure (j = w;f) leaves none: every u = w';j
+    is w';w;f.  Then the check passes, and only counts the arrows.
     """
     a_obj, b_obj = f.dom, f.cod
     objects = checker_objects(f.site, depth, (a_obj, b_obj))
     covered = backend_of(f).pairs_covered(depth, (a_obj, b_obj), b_obj, a_obj)
-
-    pairs = _replayed(_equalized_pairs(f, objects))
-
-    def excludes(u) -> bool:
-        return any(factor(compose(u, beta), alpha) is None
-                   for alpha, betas in pairs() for beta in betas)
+    j, _steps, settled = _closure(f, objects)
 
     checked = 0
     for y in objects:
-        for u in hom_set(y, b_obj):
+        arrows = hom_set(y, b_obj)
+        if settled:
+            checked += len(arrows)
+            continue
+        for u in arrows:
             checked += 1
-            if factor(u, f) is not None or excludes(u):
+            if factor(u, f) is not None or factor(u, j) is None:
                 continue
             witness = {"reason": "compatible arrow does not factor",
                        "u": morphism_key(u), "through": morphism_key(f)}
@@ -544,8 +559,11 @@ class KResult(Value):
     _fields = ("k", "j", "unit", "group", "steps", "verdict")
 
 
-def compute_K(f, depth: int) -> KResult:
-    """Close a mono f: A -> B under the pairs it equalizes.
+def _closure(f, objects):
+    """Close the mono f: A -> B under the pairs it equalizes, listed on
+    objects: (j, steps, settled), with j: k -> B the inclusion of the
+    closure, steps its pullback squares in order and settled whether j
+    factors through f.
 
     Starting from k = B and j the identity, whenever a pair alpha, beta:
     B => X with f;alpha = f;beta admits no j' with j;beta = j';alpha,
@@ -554,9 +572,7 @@ def compute_K(f, depth: int) -> KResult:
     order, takes the same steps as rescanning from the first pair after
     every step would: a pair that (k, j) satisfies stays satisfied when k
     shrinks (precompose its j' with the inclusion), and the step taken
-    for a pair satisfies it (the pullback leg into B is its j').  The
-    result carries the inclusion j: k -> B, the corestriction of f, and
-    the group of automorphisms of k fixing it.
+    for a pair satisfies it (the pullback leg into B is its j').
 
     Two shortcuts skip only pairs that take no step.  A class of agreeing
     betas that is alpha alone needs no test: j;alpha factors through
@@ -573,14 +589,10 @@ def compute_K(f, depth: int) -> KResult:
     j;beta = w;f;beta = w;f;alpha = j;alpha, which factors through alpha
     by j.  So j is tested against f before the scan and after each step,
     and the scan ends as soon as j factors; an iso f draws no pair.  The
-    scan up to the stop is the full scan's, so k, j, the unit, the group,
-    the steps and the verdict are exactly those of the full scan.
+    scan up to the stop is the full scan's, so j and the steps are
+    exactly those of the full scan.
     """
-    a_obj, b_obj = f.dom, f.cod
-    objects = checker_objects(f.site, depth, (a_obj, b_obj))
-    covered = backend_of(f).pairs_covered(depth, (a_obj, b_obj), b_obj, a_obj)
-
-    k, j = b_obj, identity(b_obj)
+    j = identity(f.cod)
     steps = []
     through_j = {}  # first beta of a class -> {j;beta : beta in the class}
     settled = factor(j, f) is not None
@@ -597,12 +609,23 @@ def compute_K(f, depth: int) -> KResult:
             if factor(jbeta, alpha) is None:
                 square = pullback(jbeta, alpha)
                 steps.append(square)
-                k, j = square.apex, compose(square.to_left, j)
+                j = compose(square.to_left, j)
                 through_j.clear()
                 settled = factor(j, f) is not None
         if settled:
             break
+    return j, tuple(steps), settled
 
+
+def compute_K(f, depth: int) -> KResult:
+    """Close a mono f: A -> B under the pairs it equalizes (see _closure)
+    and add the corestriction of f to the closure k and the group of
+    automorphisms of k fixing it."""
+    a_obj, b_obj = f.dom, f.cod
+    objects = checker_objects(f.site, depth, (a_obj, b_obj))
+    covered = backend_of(f).pairs_covered(depth, (a_obj, b_obj), b_obj, a_obj)
+    j, steps, _settled = _closure(f, objects)
+    k = j.dom
     unit = factor(f, j)
     if unit is None:
         raise SiteError("the mono does not factor through its own closure")
@@ -610,8 +633,7 @@ def compute_K(f, depth: int) -> KResult:
     verdict = CheckVerdict(
         "pass" if covered else "unknown",
         {"steps": len(steps), "pair_bound_exhaustive": covered}, depth)
-    return KResult(k, j, unit, subgroup_generated(k, fixing),
-                   tuple(steps), verdict)
+    return KResult(k, j, unit, subgroup_generated(k, fixing), steps, verdict)
 
 
 def local_iso_check(m: AtomMap, context, depth: int) -> CheckVerdict:

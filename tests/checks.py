@@ -11,17 +11,19 @@ embedding stores, and tail_route_problems the order make_embedding gives
 the tail routes.  c1_witness_digest hashes every cocone and regular-mono
 witness behind the itree C1 audit, legs included, and checker_digest
 every compute_K and self_intersection_check result on the finsetinj
-monos up to a size.
+monos up to a size.  self_intersection_reference is the
+self-intersection check that tests every arrow against every pair.
 """
 
 import hashlib
 import itertools
 
-from atomkit import (FinSet, amalgamate, canonical_json, compose,
-                     compute_K, hom_set, morphism_key, object_key,
-                     self_intersection_check)
+from atomkit import (CheckVerdict, FinSet, amalgamate, canonical_json,
+                     checker_objects, compose, compute_K, factor, hom_set,
+                     morphism_key, object_key, self_intersection_check)
+from atomkit.core import backend_of
 from atomkit.itree import INTERNAL, LEAF, TAIL, regular_mono_witness
-from atomkit.presheaf import object_pool
+from atomkit.presheaf import _equalized_pairs, _replayed, object_pool
 
 
 def pullback_is_universal(square, test_objects) -> bool:
@@ -264,3 +266,31 @@ def checker_digest(size: int, depth: int) -> str:
                     [sint.status, sint.witness, sint.depth_used]])
                 digest.update(line.encode("utf-8") + b"\n")
     return digest.hexdigest()
+
+
+def self_intersection_reference(f, depth: int) -> CheckVerdict:
+    """self_intersection_check as a scan of every listed arrow u against
+    every pair f equalizes: u is excluded when some pair (alpha, beta)
+    has u;beta not factoring through alpha.  The first u that neither
+    factors through f nor is excluded is the witness."""
+    a_obj, b_obj = f.dom, f.cod
+    objects = checker_objects(f.site, depth, (a_obj, b_obj))
+    covered = backend_of(f).pairs_covered(depth, (a_obj, b_obj), b_obj, a_obj)
+    pairs = _replayed(_equalized_pairs(f, objects))
+
+    def excludes(u) -> bool:
+        return any(factor(compose(u, beta), alpha) is None
+                   for alpha, betas in pairs() for beta in betas)
+
+    checked = 0
+    for y in objects:
+        for u in hom_set(y, b_obj):
+            checked += 1
+            if factor(u, f) is not None or excludes(u):
+                continue
+            witness = {"reason": "compatible arrow does not factor",
+                       "u": morphism_key(u), "through": morphism_key(f)}
+            return CheckVerdict("fail" if covered else "unknown",
+                                witness, depth)
+    return CheckVerdict("pass", {"arrows_checked": checked,
+                                 "pair_bound_exhaustive": covered}, depth)

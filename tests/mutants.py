@@ -182,6 +182,16 @@ FAULTS = [
      "                through_j.clear()\n",
      "compute_K: each pullback step tests again whether j factors through "
      "f, so the scan stops at the fixpoint"),
+    ("src/atomkit/presheaf.py",
+     "if factor(u, f) is not None or factor(u, j) is None:",
+     "if factor(u, f) is not None or factor(j, u) is None:",
+     "self_intersection_check: u is compatible when u factors through j, "
+     "not j through u"),
+    ("src/atomkit/presheaf.py",
+     "        if settled:\n            checked += len(arrows)",
+     "        if factor(f, j) is not None:\n            checked += len(arrows)",
+     "self_intersection_check: only a closure j that factors through f "
+     "leaves no arrow to test"),
 ]
 
 # rule -> why the fault changes no behaviour; a fault listed here may

@@ -24,6 +24,7 @@ from atomkit import (
     encode_fragment,
     enumerate_embeddings,
     enumerate_trees,
+    factor,
     fragment_from_tables,
     group_name,
     hom_set,
@@ -51,7 +52,8 @@ from atomkit import presheaf
 from atomkit.atoms import AtomMap
 from atomkit.finsetinj import Injection
 from atomkit.presheaf import ClosureError, _equalized_pairs
-from checks import checker_digest
+from checks import (checker_digest, pullback_is_universal,
+                    self_intersection_reference)
 
 T1 = build(leaf())
 T3 = build(node(leaf(), leaf()))
@@ -397,12 +399,19 @@ def test_self_intersection_identity_is_trivial():
 ])
 def test_self_intersection_draws_each_equalized_pair_once(monkeypatch, f,
                                                           depth):
-    """Several arrows reach the pair test here; they share one scan, which
-    hands out each pair once, in scan order."""
+    """The check runs one closure scan: each pair is drawn at most once,
+    in scan order, and nothing is drawn past the fixpoint.  T1 -> T(i)
+    never settles, so it draws every pair; 1 -> 2 settles at its one
+    step, so its last pair drawn is that step's."""
+    res = compute_K(f, depth)
     drawn = _count_draws(monkeypatch)
     self_intersection_check(f, depth)
     objects = checker_objects(f.site, depth, (f.dom, f.cod))
     _assert_drawn_once(drawn, f, objects)
+    if factor(res.j, f) is None:
+        assert len(drawn) == len(list(_equalized_pairs(f, objects)))
+    else:
+        assert drawn[-1][0] == res.steps[-1].right
 
 
 def test_sheaf_check_draws_each_equalized_pair_once(monkeypatch):
@@ -521,7 +530,10 @@ def _reference_compute_K(f, depth, ja_of):
 
 _SET_MONOS = [f for n in range(4) for m in range(n + 1)
               for f in hom_set(FinSet(m), FinSet(n))]
+_INTO_4 = [f for m in range(5) for f in hom_set(FinSet(m), FinSet(4))]
 _TREE_POOL = backend("itree").objects_up_to(2)
+_TREE_MONOS = [f for a in _TREE_POOL for b in _TREE_POOL
+               for f in hom_set(a, b)]
 
 
 @pytest.mark.parametrize("monos, depth", [
@@ -529,9 +541,9 @@ _TREE_POOL = backend("itree").objects_up_to(2)
     ([f for a in enumerate_trees(1, 3, ("i",))
       for b in enumerate_trees(1, 3, ("i",)) for f in hom_set(a, b)], 2),
     (_SET_MONOS, 3),
-    ([f for m in range(5) for f in hom_set(FinSet(m), FinSet(4))], 3),
-    ([f for a in _TREE_POOL for b in _TREE_POOL for f in hom_set(a, b)], 1),
-    ([f for a in _TREE_POOL for b in _TREE_POOL for f in hom_set(a, b)], 3),
+    (_INTO_4, 3),
+    (_TREE_MONOS, 1),
+    (_TREE_MONOS, 3),
 ])
 def test_compute_K_single_pass_matches_the_rescanning_reference(monos, depth):
     """Also the stop at the fixpoint: the reference scans every pair.  At
@@ -547,13 +559,43 @@ def test_compute_K_single_pass_matches_the_rescanning_reference(monos, depth):
         assert got == _reference_compute_K(f, depth, ja_of)
 
 
+@pytest.mark.parametrize("monos, depth", [
+    (_SET_MONOS + _INTO_4, 3), (_TREE_MONOS, 1), (_TREE_MONOS, 2), (_TREE_MONOS, 3)])
+def test_self_intersection_matches_the_every_pair_reference(monos, depth):
+    """The check read off the compute_K closure gives the verdict, witness
+    and arrow count of the scan that tests every arrow against every
+    pair, on every finsetinj mono into a set of size at most 4 and every
+    mono of the itree bound-2 pool.  That an arrow passing every pair
+    factors through the closure rests on each step square being a
+    pullback for the listed test objects, which is checked here too."""
+    for f in monos:
+        got = self_intersection_check(f, depth)
+        want = self_intersection_reference(f, depth)
+        assert (got.status, got.witness, got.depth_used) == \
+            (want.status, want.witness, want.depth_used)
+        objects = checker_objects(f.site, depth, (f.dom, f.cod))
+        for square in compute_K(f, depth).steps:
+            assert pullback_is_universal(square, objects)
+
+
+def _recorded_checkers(size: int) -> str:
+    digests = json.loads(pathlib.Path(__file__).with_name(
+        "audit_digests.json").read_text(encoding="utf-8"))
+    return digests["finsetinj"]["checkers"][str(size)]
+
+
 def test_checker_results_hash_as_recorded():
     """compute_K and self_intersection_check on every finsetinj mono into
     a set of size at most 4, at depth 3, byte for byte as recorded in
-    audit_digests.json (a CI job checks size 5)."""
-    digests = json.loads(pathlib.Path(__file__).with_name(
-        "audit_digests.json").read_text(encoding="utf-8"))
-    assert checker_digest(4, 3) == digests["finsetinj"]["checkers"]["4"]
+    audit_digests.json."""
+    assert checker_digest(4, 3) == _recorded_checkers(4)
+
+
+def test_checker_results_into_size_5_hash_as_recorded():
+    """The same into sets of size at most 5, 326 more monos.  This sweep
+    fits tier-1 because the self-intersection check is read off the
+    closure; testing every arrow against every pair made it minutes."""
+    assert checker_digest(5, 3) == _recorded_checkers(5)
 
 
 def test_compute_K_composes_each_agreeing_class_once_per_inclusion(
@@ -585,19 +627,44 @@ def _count_composites(monkeypatch) -> list:
 @pytest.mark.parametrize("check, size, most", [
     pytest.param(compute_K, 1, 52, id="compute_K-1-436"),
     pytest.param(compute_K, 2, 38, id="compute_K-2-422"),
-    (self_intersection_check, 0, 626), (self_intersection_check, 1, 235),
-    (self_intersection_check, 2, 118)])
+    pytest.param(self_intersection_check, 0, 87,
+                 id="self_intersection_check-0-626"),
+    pytest.param(self_intersection_check, 1, 50,
+                 id="self_intersection_check-1-235"),
+    pytest.param(self_intersection_check, 2, 35,
+                 id="self_intersection_check-2-118")])
 def test_checkers_test_factoring_without_composing_hom_sets(
         monkeypatch, check, size, most):
     """The composites a checker makes at depth 3 on the inclusion of
     size points into 3.  Composing hom-sets to test whether an arrow
     factors took, for compute_K, 1,099 and 1,654 on sizes 1 and 2, and
-    for self_intersection_check 1,194, 785 and 576 on sizes 0 to 2;
-    compute_K took 436 and 422, the counts its cases are named for, while
-    it scanned past its fixpoint."""
+    for self_intersection_check 1,194, 785 and 576 on sizes 0 to 2.
+    The counts the cases are named for were taken while compute_K
+    scanned past its fixpoint (436 and 422) and while
+    self_intersection_check tested every arrow against every pair (626,
+    235 and 118); read off the closure, it makes the closure's
+    composites and no more."""
     calls = _count_composites(monkeypatch)
     check(make_injection(size, 3, tuple(range(size))), 3)
     assert len(calls) <= most
+
+
+def test_self_intersection_tests_no_arrow_against_the_pairs(monkeypatch):
+    """0 -> 5 equalizes every pair out of 5 at depth 3, 14,400 of them
+    between automorphisms of 5.  Testing each of the 326 arrows into 5
+    against the pairs took 4,682,194 factor calls; the closure scan takes
+    15,127, and its settled closure leaves no arrow to test."""
+    calls, real = [], presheaf.factor
+
+    def counted(h, m):
+        calls.append(None)
+        return real(h, m)
+
+    monkeypatch.setattr(presheaf, "factor", counted)
+    verdict = self_intersection_check(make_injection(0, 5, ()), 3)
+    assert verdict.status == "pass"
+    assert verdict.witness["arrows_checked"] == 326
+    assert len(calls) <= 15200
 
 
 def _count_hom_reads(monkeypatch) -> list:
