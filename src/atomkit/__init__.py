@@ -15,7 +15,7 @@ from .atoms import (AtomMap, CoeqTrace, FormalAtom, atom_compose, atom_hom,
                     coequalize_representables, decode_atom, encode_atom,
                     make_atom, rep_is_valid)
 from .audit import (AuditReport, atom_chain, audit_c1, audit_c2prime,
-                    audit_c3, audit_c4, c2prime_chain, extend_parallel_pair)
+                    audit_c3, audit_c4, c2prime_chain)
 from .core import (AutGroup, Cocone, PullbackSquare, SiteError, amalgamate,
                    aut_group, backend, canonical_json, compose,
                    decode_morphism, decode_object, encode_morphism,

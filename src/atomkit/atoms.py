@@ -167,10 +167,6 @@ class CoeqTrace(Value):
 
     _fields = ("alpha", "beta", "steps", "result", "sigma", "quotient_rep")
 
-    def quotient_map(self, variant: str = "derived") -> AtomMap:
-        return AtomMap(make_atom(self.alpha.dom), self.result,
-                       self.quotient_rep, variant)
-
 
 def coequalize_representables(alpha, beta) -> CoeqTrace:
     """Coequalize the pair of atom maps represented by alpha and beta.

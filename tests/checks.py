@@ -13,17 +13,21 @@ witness behind the itree C1 audit, legs included, and checker_digest
 every compute_K and self_intersection_check result on the finsetinj
 monos up to a size.  self_intersection_reference is the
 self-intersection check that tests every arrow against every pair.
+atom_census groups the finsetinj atoms (n, G) into isomorphism classes.
 """
 
 import hashlib
 import itertools
 
-from atomkit import (CheckVerdict, FinSet, amalgamate, canonical_json,
-                     checker_objects, compose, compute_K, factor, hom_set,
-                     morphism_key, object_key, self_intersection_check)
+from atomkit import (CheckVerdict, FinSet, amalgamate, atom_iso_formal,
+                     canonical_json, checker_objects, compose, compute_K,
+                     factor, hom_set, make_atom, morphism_key, object_key,
+                     self_intersection_check)
 from atomkit.core import backend_of
 from atomkit.itree import INTERNAL, LEAF, TAIL, regular_mono_witness
 from atomkit.presheaf import _equalized_pairs, _replayed, object_pool
+
+from oracles import all_subgroups
 
 
 def pullback_is_universal(square, test_objects) -> bool:
@@ -294,3 +298,20 @@ def self_intersection_reference(f, depth: int) -> CheckVerdict:
                                 witness, depth)
     return CheckVerdict("pass", {"arrows_checked": checked,
                                  "pair_bound_exhaustive": covered}, depth)
+
+
+def atom_census(n: int) -> list[list]:
+    """The atoms (n, G) of the finsetinj site, one per subgroup G of S_n
+    that oracles.all_subgroups lists, grouped by atom_iso_formal: each
+    class in listing order, its first atom the representative.  There
+    is one class per conjugacy class of subgroups of S_n."""
+    classes: list[list] = []
+    for g in all_subgroups(FinSet(n)):
+        atom = make_atom(FinSet(n), g.generators)
+        for cls in classes:
+            if atom_iso_formal(cls[0], atom) is not None:
+                cls.append(atom)
+                break
+        else:
+            classes.append([atom])
+    return classes

@@ -192,6 +192,10 @@ FAULTS = [
      "        if factor(f, j) is not None:\n            checked += len(arrows)",
      "self_intersection_check: only a closure j that factors through f "
      "leaves no arrow to test"),
+    ("src/atomkit/audit.py",
+     '"pass" if rs < rt else "fail",',
+     '"pass" if rs <= rt else "fail",',
+     "C3: a mono passes only when the rank strictly drops"),
 ]
 
 # rule -> why the fault changes no behaviour; a fault listed here may

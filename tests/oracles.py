@@ -54,10 +54,13 @@ def count_embeddings_by_filter(X, Y) -> int:
 
 
 def all_subgroups(obj) -> list:
-    """Every subgroup of aut_group(obj), via closure of generator pairs.
+    """Every subgroup of aut_group(obj) on the finsetinj site that at
+    most two elements generate, via closure of generator pairs.
 
-    Sufficient below symmetric rank 4: those subgroups are all cyclic or
-    the whole group, hence 2-generated.
+    That is every subgroup of S_n for n <= 5, as each is 2-generated
+    (V4, D4 and A4 in S_4 included); atom_census checks the counts
+    against OEIS A005432.  From n = 6 on it is not: C2 x C2 x C2 in S_6
+    needs three generators.
     """
     elems = aut_group(obj).elements
     seen = {}

@@ -21,8 +21,8 @@ from atomkit import (
     decode_atom,
     encode_atom,
     enumerate_embeddings,
-    extend_parallel_pair,
     group_name,
+    hom_set,
     identity,
     is_iso,
     leaf,
@@ -32,8 +32,9 @@ from atomkit import (
     rep_is_valid,
 )
 from atomkit.atoms import AtomMap
+from atomkit.presheaf import object_pool
 
-from checks import pullback_is_universal
+from checks import atom_census, pullback_is_universal
 from oracles import all_subgroups, count_natural_maps
 
 T1 = build(leaf())
@@ -148,6 +149,16 @@ def test_schanuel_atoms_are_isomorphic_exactly_when_conjugate():
     assert isomorphic == 16
 
 
+def test_atom_census_counts_the_subgroup_classes_of_s_n():
+    """The atoms (n, G) for n <= 4: one per subgroup of S_n (OEIS
+    A005432: 1, 1, 2, 6, 30) and one isomorphism class per conjugacy
+    class of subgroups (OEIS A000638: 1, 1, 2, 4, 11).  CI checks n = 5,
+    156 subgroups in 19 classes."""
+    censuses = [atom_census(n) for n in range(5)]
+    assert [sum(map(len, c)) for c in censuses] == [1, 1, 2, 6, 30]
+    assert [len(c) for c in censuses] == [1, 1, 2, 4, 11]
+
+
 def test_quotient_monotonicity_via_identity_rep():
     plain = make_atom(FinSet(2))
     full = make_atom(FinSet(2), (SWAP,))
@@ -190,40 +201,24 @@ def test_coequalize_identity_and_swap():
 
 
 def test_coequalizer_quotient_map_coequalizes():
-    alpha = make_injection(1, 2, (0,))
-    beta = make_injection(1, 2, (1,))
-    trace = coequalize_representables(alpha, beta)
-    q = trace.quotient_map()
-    pair_source = make_atom(FinSet(2))
-    pair_target = make_atom(FinSet(1))
-    fa = AtomMap(pair_source, pair_target, alpha, "derived")
-    fb = AtomMap(pair_source, pair_target, beta, "derived")
-    assert atom_compose(fa, q) == atom_compose(fb, q)
-
-
-def test_extend_parallel_pair_equal_shortcut():
-    f = make_injection(1, 2, (0,))
-    fp, ap, bp = extend_parallel_pair(f, f, f)
-    assert ap == bp
-    assert compose(f, fp) == compose(f, ap)
-
-
-def test_extend_parallel_pair_two_points():
-    f = make_injection(1, 2, (0,))
-    alpha = make_injection(1, 2, (0,))
-    beta = make_injection(1, 2, (1,))
-    fp, ap, bp = extend_parallel_pair(f, alpha, beta)
-    assert fp.cod == FinSet(4)
-    assert compose(alpha, fp) == compose(f, ap)
-    assert compose(beta, fp) == compose(f, bp)
-
-
-def test_extend_parallel_pair_unique_root_maps():
-    f = enumerate_embeddings(T1, T3)[0]
-    (alpha,) = enumerate_embeddings(T1, T3)[:1]
-    fp, ap, bp = extend_parallel_pair(f, alpha, alpha)
-    assert ap == bp
-    assert compose(alpha, fp) == compose(f, ap)
+    """For every parallel pair alpha != beta: d -> x of the pools (35 on
+    finsetinj at bound 3, 72 on itree at bound 2), the map q that
+    quotient_rep represents from the atom at d onto the result
+    coequalizes the atom maps that alpha and beta represent."""
+    pairs = 0
+    for site, bound in (("finsetinj", 3), ("itree", 2)):
+        pool = object_pool(site, bound)
+        for d, x in itertools.product(pool, pool):
+            pair_source, pair_target = make_atom(x), make_atom(d)
+            for alpha, beta in itertools.combinations(hom_set(d, x), 2):
+                trace = coequalize_representables(alpha, beta)
+                q = AtomMap(make_atom(alpha.dom), trace.result,
+                            trace.quotient_rep)
+                fa = AtomMap(pair_source, pair_target, alpha)
+                fb = AtomMap(pair_source, pair_target, beta)
+                assert atom_compose(fa, q) == atom_compose(fb, q)
+                pairs += 1
+    assert pairs == 35 + 72
 
 
 def test_atom_codec_round_trip():
