@@ -426,19 +426,6 @@ def _equalized_pairs(m, objects):
             yield a, agree[ma]
 
 
-def _replayed(scan):
-    """A function whose every call iterates scan from the start, reading
-    scan itself once (a call must end before the next one starts)."""
-    drawn = []
-
-    def items():
-        yield from drawn
-        for item in scan:
-            drawn.append(item)
-            yield item
-    return items
-
-
 # ---------------------------------------------------------------------------
 # the checkers
 
@@ -450,6 +437,16 @@ def sheaf_check_quotient(atom: FormalAtom, q, depth: int) -> CheckVerdict:
     class over S.  A class [f] is separated by (alpha, beta) when
     q;alpha = q;beta yet no group element sigma gives
     f;alpha = sigma;f;beta.
+
+    The classes over T that do not descend are kept open, in
+    quotient_classes order, through one pass over the pairs: each pair
+    drops the open classes it separates, and the pass stops once none is
+    open.  The witness is the first class still open after the last
+    pair.  This gives the verdict and witness of testing one class at a
+    time against the pairs in order: a separated class stays separated,
+    each class meets the pairs in the same order up to its first
+    separator, and the first class that no pair separates is the first
+    one left open.
     """
     if atom.site != type(q.dom).site:
         raise SiteError("the cover lives on a different site than the atom")
@@ -472,24 +469,23 @@ def sheaf_check_quotient(atom: FormalAtom, q, depth: int) -> CheckVerdict:
         descended[image] = s
 
     covered = backend(atom.site).pairs_covered(depth, seeds, t_obj, s_obj)
-    pairs = _replayed(_equalized_pairs(q, objects))
-
-    def separated(f) -> bool:
-        for alpha, betas in pairs():
+    kept = [f for f in t_classes if f not in descended]  # open classes
+    for alpha, betas in _equalized_pairs(q, objects) if kept else ():
+        still = []  # the kept classes this pair does not separate
+        for f in kept:
             fa = compose(f, alpha)
             for beta in betas:
                 fb = compose(f, beta)
                 if not any(fa == compose(s, fb) for s in group):
-                    return True
-        return False
-
-    for f in t_classes:
-        if f in descended:
-            continue
-        if separated(f):
-            continue
+                    break
+            else:
+                still.append(f)
+        kept = still
+        if not kept:
+            break
+    if kept:
         witness = {"reason": "compatible class does not descend",
-                   "class": morphism_key(f),
+                   "class": morphism_key(kept[0]),
                    "classes_over_cover_source": len(s_classes),
                    "cover": morphism_key(q)}
         return CheckVerdict("fail" if covered else "unknown", witness, depth)
@@ -641,23 +637,29 @@ def local_iso_check(m: AtomMap, context, depth: int) -> CheckVerdict:
     sheafification.
 
     context is a family of objects.  On every context object the induced
-    map of classes must be injective, and every target class must lift to
-    the source after composing with some arrow found within depth.
+    map of classes must be injective, and every target class [h] over x
+    must lift to the source after composing with some arrow w: x -> x2
+    found within depth: the class of h;w must be the class of rep;u for
+    some u: src.base -> x2.  Those classes depend on x2 alone, so each
+    lift object's set of them is built once, when first needed.
     """
     src, tgt = m.source, m.target
     objects = _by_rank(context)
     lift_objects = checker_objects(src.site, depth,
                                    (src.base, tgt.base) + objects)
+    images = {}  # lift object x2 -> {[rep;u] : u in Hom(src.base, x2)}
 
-    def eta(u):
-        """The target class of the source class of u."""
-        return class_rep(tgt.group, compose(m.rep, u))
+    def images_at(x2) -> set:
+        if x2 not in images:
+            images[x2] = {class_rep(tgt.group, compose(m.rep, u))
+                          for u in hom_set(src.base, x2)}
+        return images[x2]
 
     lifts = 0
     for x in objects:
         seen = {}  # target class -> the source class sent onto it
         for u in quotient_classes(src, x):
-            image = eta(u)
+            image = class_rep(tgt.group, compose(m.rep, u))
             if image in seen:
                 return CheckVerdict("fail", {
                     "reason": "classes collapse",
@@ -668,7 +670,8 @@ def local_iso_check(m: AtomMap, context, depth: int) -> CheckVerdict:
         for h in quotient_classes(tgt, x):
             if h in seen:  # a class representative is its own class_rep
                 continue
-            if not _lifts_after(m, x, h, lift_objects, eta):
+            if not any(class_rep(tgt.group, compose(h, w)) in images_at(x2)
+                       for x2 in lift_objects for w in hom_set(x, x2)):
                 return CheckVerdict("unknown", {
                     "reason": "no lift found within depth",
                     "object": object_key(x),
@@ -676,13 +679,3 @@ def local_iso_check(m: AtomMap, context, depth: int) -> CheckVerdict:
             lifts += 1
     return CheckVerdict("pass", {"objects": len(objects),
                                  "deferred_lifts": lifts}, depth)
-
-
-def _lifts_after(m: AtomMap, x, h, lift_objects, eta) -> bool:
-    for x2 in lift_objects:
-        for w in hom_set(x, x2):
-            target = class_rep(m.target.group, compose(h, w))
-            for u in hom_set(m.source.base, x2):
-                if eta(u) == target:
-                    return True
-    return False

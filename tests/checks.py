@@ -11,21 +11,27 @@ embedding stores, and tail_route_problems the order make_embedding gives
 the tail routes.  c1_witness_digest hashes every cocone and regular-mono
 witness behind the itree C1 audit, legs included, and checker_digest
 every compute_K and self_intersection_check result on the finsetinj
-monos up to a size.  self_intersection_reference is the
-self-intersection check that tests every arrow against every pair.
+monos up to a size.  sheaf_digest hashes every sheaf_check_quotient
+verdict of the atoms that pool_atoms lists over an object pool on the
+non-iso monos of the pool, and local_iso_digest every local_iso_check
+verdict of the maps between those atoms.  self_intersection_reference
+is the self-intersection check that tests every arrow against every
+pair, listed once.
 atom_census groups the finsetinj atoms (n, G) into isomorphism classes.
 """
 
+import collections
 import hashlib
 import itertools
 
-from atomkit import (CheckVerdict, FinSet, amalgamate, atom_iso_formal,
-                     canonical_json, checker_objects, compose, compute_K,
-                     factor, hom_set, make_atom, morphism_key, object_key,
-                     self_intersection_check)
+from atomkit import (CheckVerdict, FinSet, amalgamate, atom_hom,
+                     atom_iso_formal, canonical_json, checker_objects,
+                     compose, compute_K, encode_atom, factor, hom_set, is_iso,
+                     local_iso_check, make_atom, morphism_key, object_key,
+                     self_intersection_check, sheaf_check_quotient)
 from atomkit.core import backend_of
 from atomkit.itree import INTERNAL, LEAF, TAIL, regular_mono_witness
-from atomkit.presheaf import _equalized_pairs, _replayed, object_pool
+from atomkit.presheaf import _equalized_pairs, object_pool
 
 from oracles import all_subgroups
 
@@ -272,6 +278,59 @@ def checker_digest(size: int, depth: int) -> str:
     return digest.hexdigest()
 
 
+def pool_atoms(site: str, bound: int) -> list:
+    """The atom (x, G) for every object x of object_pool(site, bound) and
+    every subgroup G of its automorphisms that oracles.all_subgroups
+    lists, in that order."""
+    return [make_atom(x, g.generators) for x in object_pool(site, bound)
+            for g in all_subgroups(x)]
+
+
+def _verdict_digest(rows) -> tuple[str, dict]:
+    """The SHA-256 over (key, verdict) rows, one canonical_json line per
+    row: the key's items, then the status, witness and depth of the
+    verdict; and the number of rows of each status."""
+    digest, counts = hashlib.sha256(), collections.Counter()
+    for key, verdict in rows:
+        counts[verdict.status] += 1
+        line = canonical_json(key + [verdict.status, verdict.witness,
+                                     verdict.depth_used])
+        digest.update(line.encode("utf-8") + b"\n")
+    return digest.hexdigest(), dict(counts)
+
+
+def sheaf_digest(site: str, bound: int, depth: int) -> tuple[str, dict]:
+    """sheaf_check_quotient at depth for every atom of pool_atoms(site,
+    bound) on every mono between objects of object_pool(site, bound)
+    that is not an iso, as _verdict_digest hashes and counts it.  The
+    atoms run outermost; the covers run domain, then codomain, in pool
+    order and each hom-set in its order.  A row's key is the atom's
+    encode_atom payload and the cover's key."""
+    objects = object_pool(site, bound)
+    covers = [q for s in objects for t in objects for q in hom_set(s, t)
+              if not is_iso(q)]
+    return _verdict_digest(
+        ([encode_atom(atom), morphism_key(q)],
+         sheaf_check_quotient(atom, q, depth))
+        for atom in pool_atoms(site, bound) for q in covers)
+
+
+def local_iso_digest(site: str, bound: int, context_bound: int,
+                     depth: int) -> tuple[str, dict]:
+    """local_iso_check at depth, on the context object_pool(site,
+    context_bound), for every derived map between two atoms of
+    pool_atoms(site, bound), as _verdict_digest hashes and counts it.
+    The source atom runs outermost, then the target atom, then atom_hom
+    order.  A row's key is the two atoms' encode_atom payloads and the
+    key of the map's representative."""
+    atoms = pool_atoms(site, bound)
+    context = object_pool(site, context_bound)
+    return _verdict_digest(
+        ([encode_atom(a), encode_atom(b), morphism_key(m.rep)],
+         local_iso_check(m, context, depth))
+        for a in atoms for b in atoms for m in atom_hom(a, b))
+
+
 def self_intersection_reference(f, depth: int) -> CheckVerdict:
     """self_intersection_check as a scan of every listed arrow u against
     every pair f equalizes: u is excluded when some pair (alpha, beta)
@@ -280,11 +339,11 @@ def self_intersection_reference(f, depth: int) -> CheckVerdict:
     a_obj, b_obj = f.dom, f.cod
     objects = checker_objects(f.site, depth, (a_obj, b_obj))
     covered = backend_of(f).pairs_covered(depth, (a_obj, b_obj), b_obj, a_obj)
-    pairs = _replayed(_equalized_pairs(f, objects))
+    pairs = list(_equalized_pairs(f, objects))
 
     def excludes(u) -> bool:
         return any(factor(compose(u, beta), alpha) is None
-                   for alpha, betas in pairs() for beta in betas)
+                   for alpha, betas in pairs for beta in betas)
 
     checked = 0
     for y in objects:

@@ -113,9 +113,27 @@ FAULTS = [
      "fragment _check: functoriality looks up the row of every listed "
      "composite f;g"),
     ("src/atomkit/presheaf.py",
-     "        yield from drawn\n",
-     "",
-     "_replayed: every call replays the items drawn so far"),
+     '"class": morphism_key(kept[0]),',
+     '"class": morphism_key(kept[-1]),',
+     "sheaf_check_quotient: the witness is the first class still open"),
+    ("src/atomkit/presheaf.py",
+     "                if not any(fa == compose(s, fb) for s in group):\n"
+     "                    break\n"
+     "            else:\n"
+     "                still.append(f)\n",
+     "                if any(fa == compose(s, fb) for s in group):\n"
+     "                    still.append(f)\n"
+     "                    break\n",
+     "sheaf_check_quotient: a class stays open only when every beta "
+     "agrees"),
+    ("src/atomkit/presheaf.py",
+     "        kept = still\n        if not kept:\n            break\n",
+     "        kept = still\n",
+     "sheaf_check_quotient: the pair scan stops once no class is open"),
+    ("src/atomkit/presheaf.py",
+     "for x2 in lift_objects for w in hom_set(x, x2)):",
+     "for x2 in lift_objects[:1] for w in hom_set(x, x2)):",
+     "local_iso_check: a class may lift to any lift object"),
     ("src/atomkit/itree.py",
      "if tails <= max_tails and (size == 1 or nested[1] == INTERNAL)}",
      "if tails <= max_tails}",

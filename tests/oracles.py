@@ -54,20 +54,20 @@ def count_embeddings_by_filter(X, Y) -> int:
 
 
 def all_subgroups(obj) -> list:
-    """Every subgroup of aut_group(obj) on the finsetinj site that at
-    most two elements generate, via closure of generator pairs.
+    """Every subgroup of aut_group(obj) that at most two elements
+    generate, via closure of generator pairs, on either site.
 
-    That is every subgroup of S_n for n <= 5, as each is 2-generated
-    (V4, D4 and A4 in S_4 included); atom_census checks the counts
-    against OEIS A005432.  From n = 6 on it is not: C2 x C2 x C2 in S_6
-    needs three generators.
+    On the finsetinj site that is every subgroup of S_n for n <= 5, as
+    each is 2-generated (V4, D4 and A4 in S_4 included); atom_census
+    checks the counts against OEIS A005432.  From n = 6 on it is not:
+    C2 x C2 x C2 in S_6 needs three generators.
     """
     elems = aut_group(obj).elements
     seen = {}
     for r in range(3):
         for gens in itertools.combinations(elems, r):
             g = subgroup_generated(obj, gens)
-            seen.setdefault(frozenset(x.map for x in g.elements), g)
+            seen.setdefault(frozenset(g.elements), g)
     return list(seen.values())
 
 

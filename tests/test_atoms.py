@@ -34,7 +34,7 @@ from atomkit import (
 from atomkit.atoms import AtomMap
 from atomkit.presheaf import object_pool
 
-from checks import atom_census, pullback_is_universal
+from checks import atom_census, pool_atoms, pullback_is_universal
 from oracles import all_subgroups, count_natural_maps
 
 T1 = build(leaf())
@@ -157,6 +157,16 @@ def test_atom_census_counts_the_subgroup_classes_of_s_n():
     censuses = [atom_census(n) for n in range(5)]
     assert [sum(map(len, c)) for c in censuses] == [1, 1, 2, 6, 30]
     assert [len(c) for c in censuses] == [1, 1, 2, 4, 11]
+
+
+def test_all_subgroups_lists_the_subgroups_of_tree_automorphisms():
+    """The oracle keys a subgroup by its elements, which both sites'
+    arrows are: Aut((L L)) has 2 subgroups, and the 13 objects of the
+    itree bound-2 pool carry the 21 atoms the checker pins sweep."""
+    assert [len(g.elements) for g in all_subgroups(T3)] == [1, 2]
+    counts = [len(all_subgroups(x)) for x in object_pool("itree", 2)]
+    assert counts == [1, 1, 1, 2, 2, 1, 2, 2, 2, 1, 2, 2, 2]
+    assert len(pool_atoms("itree", 2)) == 21
 
 
 def test_quotient_monotonicity_via_identity_rep():

@@ -49,11 +49,11 @@ from atomkit import (
     unordered_pairs_fragment,
 )
 from atomkit import presheaf
-from atomkit.atoms import AtomMap
+from atomkit.atoms import AtomMap, class_rep
 from atomkit.finsetinj import Injection
 from atomkit.presheaf import ClosureError, _equalized_pairs
-from checks import (checker_digest, pullback_is_universal,
-                    self_intersection_reference)
+from checks import (checker_digest, local_iso_digest, pullback_is_universal,
+                    self_intersection_reference, sheaf_digest)
 
 T1 = build(leaf())
 T3 = build(node(leaf(), leaf()))
@@ -423,24 +423,30 @@ def test_sheaf_check_draws_each_equalized_pair_once(monkeypatch):
     _assert_drawn_once(drawn, q, objects)
 
 
-def test_each_replay_starts_from_the_first_item():
-    """Every call of a replayed scan yields every item from the first,
-    although an earlier call stopped part way and the scan is read once.
-    No checker verdict in the tests tells a replay from a scan that
-    carries on where the last call stopped: there, the pairs left after
-    the stop still exclude every later arrow."""
-    reads = []
+@pytest.mark.parametrize("atom, q", [
+    (make_atom(FinSet(3)), make_injection(2, 3, (0, 1))),
+    (make_atom(FinSet(2), (SWAP,)), make_injection(1, 3, (0,))),
+])
+def test_sheaf_check_stops_at_the_separator_of_its_last_open_class(
+        monkeypatch, atom, q):
+    """The check draws the pairs up to the first one that separates each
+    class over T that does not descend, and none after the last of
+    those: 7 of the 90 pairs in both cases here."""
+    objects = checker_objects(atom.site, 2, (atom.base, q.dom, q.cod))
+    pairs = list(_equalized_pairs(q, objects))
+    descended = {class_rep(atom.group, compose(s, q))
+                 for s in quotient_classes(atom, q.dom)}
 
-    def scan():
-        for i in range(4):
-            reads.append(i)
-            yield i
+    def separates(f, alpha, beta) -> bool:
+        return all(compose(f, alpha) != compose(s, compose(f, beta))
+                   for s in atom.group.elements)
 
-    items = presheaf._replayed(scan())
-    assert list(itertools.islice(items(), 2)) == [0, 1]
-    assert list(items()) == [0, 1, 2, 3]
-    assert list(items()) == [0, 1, 2, 3]
-    assert reads == [0, 1, 2, 3]
+    last = max(next(i for i, (alpha, betas) in enumerate(pairs)
+                    if any(separates(f, alpha, beta) for beta in betas))
+               for f in quotient_classes(atom, q.cod) if f not in descended)
+    drawn = _count_draws(monkeypatch)
+    assert sheaf_check_quotient(atom, q, 2).status == "pass"
+    assert len(drawn) == last + 1 < len(pairs)
 
 
 def _count_draws(monkeypatch) -> list:
@@ -578,24 +584,48 @@ def test_self_intersection_matches_the_every_pair_reference(monos, depth):
             assert pullback_is_universal(square, objects)
 
 
-def _recorded_checkers(size: int) -> str:
+def _recorded(site: str, entry: str, *keys) -> str:
     digests = json.loads(pathlib.Path(__file__).with_name(
-        "audit_digests.json").read_text(encoding="utf-8"))
-    return digests["finsetinj"]["checkers"][str(size)]
+        "audit_digests.json").read_text(encoding="utf-8"))[site][entry]
+    for key in keys:
+        digests = digests[str(key)]
+    return digests
 
 
 def test_checker_results_hash_as_recorded():
     """compute_K and self_intersection_check on every finsetinj mono into
     a set of size at most 4, at depth 3, byte for byte as recorded in
     audit_digests.json."""
-    assert checker_digest(4, 3) == _recorded_checkers(4)
+    assert checker_digest(4, 3) == _recorded("finsetinj", "checkers", 4)
 
 
 def test_checker_results_into_size_5_hash_as_recorded():
     """The same into sets of size at most 5, 326 more monos.  This sweep
     fits tier-1 because the self-intersection check is read off the
     closure; testing every arrow against every pair made it minutes."""
-    assert checker_digest(5, 3) == _recorded_checkers(5)
+    assert checker_digest(5, 3) == _recorded("finsetinj", "checkers", 5)
+
+
+@pytest.mark.parametrize("digest, args, counts", [
+    (sheaf_digest, ("itree", 2, 1), {"pass": 1442, "unknown": 447, "fail": 1}),
+    (sheaf_digest, ("itree", 2, 2), {"pass": 1534, "unknown": 355, "fail": 1}),
+    (sheaf_digest, ("finsetinj", 3, 3), {"pass": 140}),
+    (local_iso_digest, ("itree", 2, 1, 1),
+     {"pass": 62, "unknown": 127, "fail": 7}),
+    (local_iso_digest, ("itree", 2, 1, 2),
+     {"pass": 121, "unknown": 68, "fail": 7}),
+], ids=["sheaf-itree-1", "sheaf-itree-2", "sheaf-finsetinj-3",
+        "local-iso-itree-1", "local-iso-itree-2"])
+def test_sheaf_and_local_iso_verdicts_hash_as_recorded(digest, args, counts):
+    """sheaf_check_quotient of every atom over the pool on every non-iso
+    cover (21 itree atoms on 90 covers, 10 finsetinj atoms on 14), and
+    local_iso_check of the 196 derived maps between the itree atoms, with
+    their witnesses, byte for byte as recorded in audit_digests.json.
+    The counts show how rarely the tree checkers decide."""
+    entry = "sheaf" if digest is sheaf_digest else "local_iso"
+    got, got_counts = digest(*args)
+    assert got_counts == counts
+    assert got == _recorded(args[0], entry, args[1], args[-1])
 
 
 def test_compute_K_composes_each_agreeing_class_once_per_inclusion(
